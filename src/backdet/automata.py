@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from . import graph
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -195,63 +197,18 @@ class WeakAlternatingAutomaton:
 
 
 def scc_decompose(waa: WeakAlternatingAutomaton) -> list[SccInfo]:
-    """Tarjan decomposition of the transition graph.
+    """SCCs of the transition graph with their polarity.
 
     Components are emitted sinks-first, i.e. a component appears after every
     component it reaches.  A singleton without a self-edge is its own SCC.
     """
     succ = {q: sorted(waa.successors(q)) for q in waa.states}
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    sccs = []
-
-    def connect(root):
-        # iterative Tarjan; work entries are (state, iterator over successors)
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                members = tuple(sorted(comp))
-                rec = {q in waa.recurring for q in members}
-                polarity = rec.pop() if len(rec) == 1 else None
-                sccs.append(SccInfo(members, polarity))
-
-    for q in waa.states:
-        if q not in index:
-            connect(q)
-    return sccs
+    out = []
+    for comp in graph.sccs(waa.states, succ):
+        members = tuple(sorted(comp))
+        rec = {q in waa.recurring for q in members}
+        out.append(SccInfo(members, rec.pop() if len(rec) == 1 else None))
+    return out
 
 
 def validate_weak(waa: WeakAlternatingAutomaton) -> list[SccInfo]:

@@ -37,4 +37,8 @@ class NoFinalRunError(FinalRunError):
 
 
 class MultipleFinalRunsError(FinalRunError):
-    pass
+    """More than one candidate run is final; ``count`` says how many."""
+
+    def __init__(self, message, count):
+        super().__init__(message)
+        self.count = count

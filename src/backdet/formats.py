@@ -1,6 +1,9 @@
 """Textual formats for automata and lasso words.
 
-WAA files, one item per line, '#' starts a comment:
+Automaton files hold one item per line; '#' starts a comment.  A header
+line is 'name: items', whose items are the whitespace-separated words after
+the first ':' (the space after the colon is optional, and a header given
+twice keeps its last line).  WAA files:
 
     alphabet: a b
     states: q0 q1
@@ -26,51 +29,27 @@ empty ('; a b').
 
 from __future__ import annotations
 
+import re
+
 from .automata import Alphabet, And, Condition, LetterSet, NextState, Or, WeakAlternatingAutomaton
+from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
 from .nba import NBA
 
 
-def _cond_tokens(text):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "[]()&|":
-            out.append(ch)
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "[]()&|":
-            j += 1
-        out.append(text[i:j])
-        i = j
-    return out
+_COND_TOKEN = re.compile(r"[\[\]()&|]|[^\s\[\]()&|]+")
 
 
-class _CondParser:
+class _CondParser(TokenCursor):
     def __init__(self, text, alphabet, states):
-        self.tokens = _cond_tokens(text)
-        self.i = 0
+        super().__init__(text, _COND_TOKEN, "condition")
         self.alphabet = alphabet
         self.states = states
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
     def parse(self):
         c = self.parse_or()
-        if self.peek() is not None:
-            raise FormatError(f"trailing tokens in condition: {self.peek()!r}")
+        self.end()
         return c
 
     def parse_or(self):
@@ -88,30 +67,29 @@ class _CondParser:
         return c
 
     def parse_atom(self):
+        at = self.pos()
         tok = self.take()
         if tok == "(":
             c = self.parse_or()
-            if self.take() != ")":
-                raise FormatError("expected ')' in condition")
+            self.take(")")
             return c
         if tok == "[":
             letters = []
             while self.peek() not in ("]", None):
-                letters.append(self.take())
-            if self.take() != "]":
-                raise FormatError("unterminated letter set")
-            for a in letters:
+                at = self.pos()
+                a = self.take()
                 if a not in self.alphabet:
-                    raise FormatError(f"letter {a!r} not in alphabet")
+                    raise FormatError(f"letter {a!r} not in alphabet", at)
+                letters.append(a)
+            self.take("]")
             return LetterSet(frozenset(letters))
         if tok == "X":
+            at = self.pos()
             q = self.take()
-            if q is None:
-                raise FormatError("'X' must be followed by a state id")
             if q not in self.states:
-                raise FormatError(f"unknown state {q!r} in condition")
+                raise FormatError(f"unknown state {q!r} in condition", at)
             return NextState(q)
-        raise FormatError(f"unexpected token in condition: {tok!r}")
+        raise FormatError(f"unexpected token in condition: {tok!r}", at)
 
 
 def parse_condition(text: str, alphabet: Alphabet, states) -> Condition:
@@ -138,38 +116,44 @@ def _split_lines(text):
             yield lineno, line
 
 
-def parse_waa(text: str) -> WeakAlternatingAutomaton:
-    alphabet = states = recurring = initial = None
-    delta_lines = []
+def _read_file(text, required, optional, keyword):
+    """Header items and body lines of an automaton file.
+
+    A header line is 'name: item item ...' for a name in ``required`` or
+    ``optional``; its items are the words after the first ':'.  A body line
+    is '<keyword> ...'; it is returned as (line number, text after the
+    keyword).  Any other line, or a missing required header, is an error.
+    """
+    headers = {}
+    body = []
     for lineno, line in _split_lines(text):
-        if line.startswith("alphabet:"):
-            alphabet = Alphabet(tuple(line.split()[1:]))
-        elif line.startswith("states:"):
-            states = line.split()[1:]
-        elif line.startswith("recurring:"):
-            recurring = line.split()[1:]
-        elif line.startswith("initial:"):
-            initial = line.split()[1:]
-        elif line.startswith("delta "):
-            body = line[len("delta "):]
-            if "=" not in body:
-                raise FormatError("delta line needs '='", f"line {lineno}")
-            q, cond_text = body.split("=", 1)
-            delta_lines.append((lineno, q.strip(), cond_text.strip()))
+        name, colon, items = line.partition(":")
+        if colon and (name in required or name in optional):
+            headers[name] = items.split()
+        elif line.startswith(keyword + " "):
+            body.append((lineno, line[len(keyword) + 1:]))
         else:
             raise FormatError(f"unrecognized line: {line!r}", f"line {lineno}")
-    if alphabet is None:
-        raise FormatError("missing 'alphabet:' line")
-    if states is None:
-        raise FormatError("missing 'states:' line")
-    if recurring is None:
-        raise FormatError("missing 'recurring:' line")
+    for name in required:
+        if name not in headers:
+            raise FormatError(f"missing '{name}:' line")
+    return headers, body
+
+
+def parse_waa(text: str) -> WeakAlternatingAutomaton:
+    headers, body = _read_file(text, ("alphabet", "states", "recurring"), ("initial",), "delta")
+    alphabet = Alphabet(tuple(headers["alphabet"]))
+    states = headers["states"]
     delta = {}
-    for lineno, q, cond_text in delta_lines:
+    for lineno, line in body:
+        if "=" not in line:
+            raise FormatError("delta line needs '='", f"line {lineno}")
+        q, cond_text = line.split("=", 1)
+        q = q.strip()
         if q in delta:
             raise FormatError(f"duplicate delta for {q}", f"line {lineno}")
-        delta[q] = parse_condition(cond_text, alphabet, states)
-    return WeakAlternatingAutomaton(alphabet, states, delta, recurring, initial)
+        delta[q] = parse_condition(cond_text.strip(), alphabet, states)
+    return WeakAlternatingAutomaton(alphabet, states, delta, headers["recurring"], headers.get("initial"))
 
 
 def format_waa(waa: WeakAlternatingAutomaton) -> str:
@@ -186,29 +170,14 @@ def format_waa(waa: WeakAlternatingAutomaton) -> str:
 
 
 def parse_nba(text: str) -> NBA:
-    alphabet = states = initial = buchi = None
+    headers, body = _read_file(text, ("alphabet", "states", "initial", "buchi"), (), "trans")
     transitions = []
-    for lineno, line in _split_lines(text):
-        if line.startswith("alphabet:"):
-            alphabet = Alphabet(tuple(line.split()[1:]))
-        elif line.startswith("states:"):
-            states = line.split()[1:]
-        elif line.startswith("initial:"):
-            initial = line.split()[1:]
-        elif line.startswith("buchi:"):
-            buchi = line.split()[1:]
-        elif line.startswith("trans "):
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError("trans line needs 'trans q a q2'", f"line {lineno}")
-            transitions.append((parts[1], parts[2], parts[3]))
-        else:
-            raise FormatError(f"unrecognized line: {line!r}", f"line {lineno}")
-    for name, value in (("alphabet", alphabet), ("states", states),
-                        ("initial", initial), ("buchi", buchi)):
-        if value is None:
-            raise FormatError(f"missing '{name}:' line")
-    return NBA(alphabet, states, initial, transitions, buchi)
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError("trans line needs 'trans q a q2'", f"line {lineno}")
+        transitions.append(tuple(parts))
+    return NBA(headers["alphabet"], headers["states"], headers["initial"], transitions, headers["buchi"])
 
 
 def format_nba(nba: NBA) -> str:

@@ -240,9 +240,7 @@ def bda_final_run(
         )
     if len(finals) > 1:
         detail = ", ".join(bda.format_family(f) for f, _ in finals)
-        err = MultipleFinalRunsError(f"{len(finals)} final runs on {w}: {detail}")
-        err.count = len(finals)
-        raise err
+        raise MultipleFinalRunsError(f"{len(finals)} final runs on {w}: {detail}", len(finals))
 
     boundary, cycle_len = finals[0]
     bda.final_boundary_cache[w.period] = boundary

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
+from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
 
@@ -68,52 +69,22 @@ class Release(LtlFormula):
     right: LtlFormula
 
 
-_TOKEN = re.compile(r"\s*(?:(\()|(\))|(!)|(&)|(\|)|([A-Za-z_][A-Za-z0-9_]*))")
+_TOKEN = re.compile(r"[()!&|]|[A-Za-z_][A-Za-z0-9_]*")
 
 _UNARY = {"X": Next, "F": Eventually, "G": Always}
 _BINARY = {"U": Until, "R": Release}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise FormatError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-            break
-        tok = m.group(0).strip()
-        if tok:
-            tokens.append((tok, m.start()))
-        pos = m.end()
-    return tokens
-
-
-class _LtlParser:
+class _LtlParser(TokenCursor):
     """Precedence (loosest first): |, &, U/R (right-assoc), unary X F G."""
 
     def __init__(self, text, alphabet):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        super().__init__(text, _TOKEN, "formula")
         self.alphabet = alphabet
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self):
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
 
     def parse(self):
         f = self.parse_or()
-        if self.peek() is not None:
-            raise FormatError(f"trailing input {self.peek()!r}", self.pos())
+        self.end()
         return f
 
     def parse_or(self):
@@ -151,9 +122,7 @@ class _LtlParser:
         if tok == "(":
             self.take()
             f = self.parse_or()
-            if self.peek() != ")":
-                raise FormatError("expected ')'", self.pos())
-            self.take()
+            self.take(")")
             return f
         if tok == "!":
             at = self.pos()

@@ -16,7 +16,7 @@ from .automata import Alphabet
 from .construction import INF, BackwardDetAutomaton
 from .errors import SemanticError
 from .lasso import LassoWord
-from . import nutl
+from . import graph, nutl
 from .nutl import Fix, Letter, Next as NNext, Var, dual_nutl
 
 
@@ -62,77 +62,21 @@ def _quotient_graph(nba: NBA, w: LassoWord):
     return succ
 
 
-def _scc_list(vertices, succ):
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    comps = []
-
-    def connect(root):
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = lowlink[u] = counter[0]
-                    counter[0] += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                lowlink[p] = min(lowlink[p], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.remove(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-
-    for v in vertices:
-        if v not in index:
-            connect(v)
-    return comps
+def _restrict(succ, alive):
+    """The subgraph on the vertex set ``alive``."""
+    return {v: [u for u in succ[v] if u in alive] for v in alive}
 
 
-def _reaches(vertices, succ, targets):
-    """Vertices with a path (possibly empty) to a target."""
-    reached = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for v in vertices:
-            if v not in reached and any(u in reached for u in succ[v]):
-                reached.add(v)
-                changed = True
-    return reached
-
-
-def _cyclic_vertices(vertices, succ):
-    """Vertices lying on some cycle of the induced subgraph."""
-    out = set()
-    vset = set(vertices)
-    for comp in _scc_list(vertices, {v: [u for u in succ[v] if u in vset] for v in vertices}):
-        if len(comp) > 1 or comp[0] in succ[comp[0]]:
-            out.update(comp)
-    return out
+def _reaches_cycle(vertices, succ, buchi=None):
+    """Vertices with a path to a cycle, or with ``buchi`` given, to a cycle
+    through a vertex whose state is in ``buchi``."""
+    on_cycles = set()
+    for comp in graph.sccs(vertices, succ):
+        if graph.is_cyclic(comp, succ) and (
+            buchi is None or any(state in buchi for (_, state) in comp)
+        ):
+            on_cycles.update(comp)
+    return graph.reaches(vertices, succ, on_cycles)
 
 
 def nba_accepts_lasso(nba: NBA, w: LassoWord, q: str, i: int = 0) -> bool:
@@ -142,14 +86,7 @@ def nba_accepts_lasso(nba: NBA, w: LassoWord, q: str, i: int = 0) -> bool:
     if not 0 <= i < w.positions:
         raise ValueError(f"position {i} outside quotient range")
     succ = _quotient_graph(nba, w)
-    vertices = list(succ)
-    good = set()
-    vset = set(vertices)
-    for comp in _scc_list(vertices, succ):
-        has_cycle = len(comp) > 1 or comp[0] in succ[comp[0]]
-        if has_cycle and any(state in nba.buchi for (_, state) in comp):
-            good.update(comp)
-    return (i, q) in _reaches(vertices, succ, good)
+    return (i, q) in _reaches_cycle(list(succ), succ, nba.buchi)
 
 
 @dataclass
@@ -178,23 +115,14 @@ def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
     vertices = set(succ)
 
     def finitary_in(alive):
-        sub = {v: [u for u in succ[v] if u in alive] for v in alive}
-        cyc = _cyclic_vertices(list(alive), sub)
-        return alive - _reaches(alive, sub, cyc)
+        return alive - _reaches_cycle(alive, _restrict(succ, alive))
 
     def b_free_in(alive):
-        sub = {v: [u for u in succ[v] if u in alive] for v in alive}
         tagged = {v for v in alive if v[1] in nba.buchi}
-        return alive - _reaches(alive, sub, tagged)
+        return alive - graph.reaches(alive, _restrict(succ, alive), tagged)
 
     def b_recurring_in(alive):
-        sub = {v: [u for u in succ[v] if u in alive] for v in alive}
-        good = set()
-        for comp in _scc_list(list(alive), sub):
-            has_cycle = len(comp) > 1 or comp[0] in sub[comp[0]]
-            if has_cycle and any(state in nba.buchi for (_, state) in comp):
-                good.update(comp)
-        return _reaches(alive, sub, good)
+        return _reaches_cycle(alive, _restrict(succ, alive), nba.buchi)
 
     finitary = finitary_in(vertices)
     b_free = b_free_in(vertices)

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 
 from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
+from . import graph
+from .cursor import TokenCursor
 from .errors import FormatError, SemanticError
 from .lasso import LassoWord
 
@@ -83,53 +85,17 @@ class Fix(NutlFormula):
 
 
 _FIX_NAME = re.compile(r"^(mu|nu)_(\d+)$")
+_TOKEN = re.compile(r"[().;,|&!]|[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _tokenize(text):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "().;,|&!":
-            out.append((ch, i))
-            i += 1
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-        if not m:
-            raise FormatError(f"unexpected character {ch!r}", i)
-        out.append((m.group(0), i))
-        i += len(m.group(0))
-    return out
-
-
-class _NutlParser:
+class _NutlParser(TokenCursor):
     def __init__(self, text, alphabet):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        super().__init__(text, _TOKEN, "formula")
         self.alphabet = alphabet
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self):
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else -1
-
-    def take(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            raise FormatError("unexpected end of formula")
-        if expect is not None and tok != expect:
-            raise FormatError(f"expected {expect!r}, got {tok!r}", self.pos())
-        self.i += 1
-        return tok
 
     def parse(self):
         f = self.parse_or()
-        if self.peek() is not None:
-            raise FormatError(f"trailing input {self.peek()!r}", self.pos())
+        self.end()
         return f
 
     def parse_or(self):
@@ -149,7 +115,7 @@ class _NutlParser:
     def parse_atom(self):
         tok = self.peek()
         if tok is None:
-            raise FormatError("unexpected end of formula")
+            raise FormatError("unexpected end of formula", self.pos())
         if tok == "(":
             self.take()
             f = self.parse_or()
@@ -248,27 +214,6 @@ def subformulas(roots) -> list[NutlFormula]:
     return out
 
 
-def binder_table(roots) -> dict:
-    """Variable name -> (fix node, component index) for every bound variable.
-
-    A name bound by several fix nodes is accepted only when the binders
-    agree on variable vector and bodies (structural sharing across the
-    components of a vector fix).
-    """
-    table = {}
-    for f in subformulas(roots):
-        if not isinstance(f, Fix):
-            continue
-        for j, name in enumerate(f.vars):
-            prior = table.get(name)
-            if prior is not None:
-                if (prior[0].vars, prior[0].bodies) != (f.vars, f.bodies):
-                    raise SemanticError(f"variable {name!r} bound more than once")
-            else:
-                table[name] = (f, j)
-    return table
-
-
 def free_vars(f: NutlFormula, _cache=None) -> frozenset:
     if _cache is None:
         _cache = {}
@@ -291,10 +236,38 @@ def is_closed(f: NutlFormula) -> bool:
     return not free_vars(f)
 
 
-def dependence_graph(roots):
-    """Subformula vertices and successor lists, closure edges included."""
-    binders = binder_table(roots)
+@dataclass
+class _Analysis:
+    """The dependence graph of a formula tuple: subformula vertices in
+    preorder, successor lists with the closure edges, the binder table
+    (variable name -> (fix node, component index)) and the graph's SCCs,
+    successors first."""
+
+    nodes: list
+    succ: dict
+    binders: dict
+    sccs: list
+
+
+def _analyse(roots) -> _Analysis:
+    """Analysis of one formula or a tuple.
+
+    A name bound by several fix nodes is accepted only when the binders
+    agree on variable vector and bodies (structural sharing across the
+    components of a vector fix).  Each variable occurrence gets an edge to
+    the body it selects in its binder.
+    """
     nodes = subformulas(roots)
+    binders = {}
+    for f in nodes:
+        if not isinstance(f, Fix):
+            continue
+        for j, name in enumerate(f.vars):
+            prior = binders.get(name)
+            if prior is None:
+                binders[name] = (f, j)
+            elif (prior[0].vars, prior[0].bodies) != (f.vars, f.bodies):
+                raise SemanticError(f"variable {name!r} bound more than once")
     succ = {}
     for f in nodes:
         if isinstance(f, Fix):
@@ -306,173 +279,113 @@ def dependence_graph(roots):
             succ[f] = [fix.bodies[j]]
         else:
             succ[f] = list(_children(f))
-    return nodes, succ
+    return _Analysis(nodes, succ, binders, graph.sccs(nodes, succ))
 
 
-def _sccs(nodes, succ):
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    result = []
-
-    def connect(root):
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                result.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            connect(v)
-    return result
+def _cyclic_kinds(a: _Analysis):
+    """Each cyclic SCC with the fixed-point kinds of the variables and fix
+    nodes on it, as kind -> first such vertex in the component."""
+    for comp in a.sccs:
+        if not graph.is_cyclic(comp, a.succ):
+            continue
+        kinds = {}
+        for f in comp:
+            if isinstance(f, Var):
+                kinds.setdefault(a.binders[f.name][0].kind, f)
+            elif isinstance(f, Fix):
+                kinds.setdefault(f.kind, f)
+        yield comp, kinds
 
 
-def _cyclic(comp, succ):
-    if len(comp) > 1:
-        return True
-    v = comp[0]
-    return v in succ[v]
+def _unguarded_cycle(a: _Analysis) -> list | None:
+    # the dependence graph without its next-step vertices has a cycle
+    # exactly when some dependence cycle avoids them
+    sub = {
+        f: [w for w in a.succ[f] if not isinstance(w, Next)]
+        for f in a.nodes
+        if not isinstance(f, Next)
+    }
+    for comp in graph.sccs(list(sub), sub):
+        if graph.is_cyclic(comp, sub):
+            start, members = comp[0], set(comp)
+            first = next(w for w in sub[start] if w in members)
+            return [start] + graph.path(first, start, sub, members)[:-1]
+    return None
 
 
-def _find_cycle(start, succ, allowed):
-    """Some cycle through ``start`` inside the vertex set ``allowed``."""
-    path = [start]
-    on_path = {start}
-    visited = set()
-
-    def dfs(v):
-        for w in succ[v]:
-            if w not in allowed:
-                continue
-            if w == start:
-                return True
-            if w in on_path or w in visited:
-                continue
-            path.append(w)
-            on_path.add(w)
-            if dfs(w):
-                return True
-            on_path.remove(w)
-            path.pop()
-            visited.add(w)
-        return False
-
-    if dfs(start):
-        return list(path)
+def _alternating_walk(a: _Analysis) -> list | None:
+    for comp, kinds in _cyclic_kinds(a):
+        if MU in kinds and NU in kinds:
+            members = set(comp)
+            there = graph.path(kinds[MU], kinds[NU], a.succ, members)
+            back = graph.path(kinds[NU], kinds[MU], a.succ, members)
+            return there + back[1:-1]
     return None
 
 
 def check_guarded(phi) -> list | None:
     """None if every dependence cycle passes a next-step vertex; otherwise
-    a cycle avoiding them (as a list of subformulas)."""
-    nodes, succ = dependence_graph(phi)
-    allowed = {f for f in nodes if not isinstance(f, Next)}
-    sub_succ = {f: [w for w in succ[f] if w in allowed] for f in allowed}
-    for comp in _sccs(list(allowed), sub_succ):
-        if _cyclic(comp, sub_succ):
-            cycle = _find_cycle(comp[0], sub_succ, set(comp))
-            return cycle or comp
-    return None
+    a cycle avoiding them (as a list of subformulas, each leading to the
+    next and the last back to the first)."""
+    return _unguarded_cycle(_analyse(phi))
 
 
 def check_alternation_free(phi) -> list | None:
     """None if no cycle mixes least- and greatest-fixed-point recursion;
     otherwise a closed walk through variables of both kinds."""
-    nodes, succ = dependence_graph(phi)
-    binders = binder_table(phi)
-    for comp in _sccs(nodes, succ):
-        if not _cyclic(comp, succ):
-            continue
-        kinds = {}
-        for f in comp:
-            if isinstance(f, Var):
-                kinds.setdefault(binders[f.name][0].kind, f)
-            elif isinstance(f, Fix):
-                kinds.setdefault(f.kind, f)
-        if MU in kinds and NU in kinds:
-            walk = _closed_walk(kinds[MU], kinds[NU], succ, set(comp))
-            return walk or comp
-    return None
+    return _alternating_walk(_analyse(phi))
 
 
-def _closed_walk(a, b, succ, allowed):
-    path_ab = _path(a, b, succ, allowed)
-    path_ba = _path(b, a, succ, allowed)
-    if path_ab is None or path_ba is None:
-        return None
-    return path_ab + path_ba[1:-1]
-
-
-def _path(src, dst, succ, allowed):
-    prev = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ[v]:
-                if w in allowed and w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-                    if w == dst:
-                        frontier = []
-                        nxt = []
-                        break
-        frontier = nxt
-    if dst not in prev:
-        return None
-    out = []
-    v = dst
-    while v is not None:
-        out.append(v)
-        v = prev[v]
-    return out[::-1]
-
-
-def _require_translatable(roots):
+def _require_translatable(roots) -> _Analysis:
+    """The analysis of a closed, guarded, alternation-free formula tuple;
+    SemanticError for any other."""
+    cache = {}
     for f in roots:
-        if not is_closed(f):
-            raise SemanticError(f"formula is not closed: free {sorted(free_vars(f))}")
-    cycle = check_guarded(list(roots))
+        if free_vars(f, cache):
+            raise SemanticError(f"formula is not closed: free {sorted(free_vars(f, cache))}")
+    a = _analyse(roots)
+    cycle = _unguarded_cycle(a)
     if cycle is not None:
         raise SemanticError(
             "formula is not guarded; cycle without a next-step operator: "
             + " -> ".join(format_nutl(f) for f in cycle[:6])
         )
-    cycle = check_alternation_free(list(roots))
-    if cycle is not None:
+    if _alternating_walk(a) is not None:
         raise SemanticError("formula has a fixed-point alternation on a cycle")
+    return a
+
+
+def _condition_builder(binders, alphabet, state_of):
+    """Transition condition of a subformula: letters are tested at the
+    current position, a fix node or variable unfolds to the body it
+    selects, and a next-step operand f becomes the state ``state_of(f)``."""
+    cache = {}
+
+    def build(f):
+        c = cache.get(f)
+        if c is not None:
+            return c
+        if isinstance(f, Letter):
+            c = LetterSet(frozenset({f.name}))
+        elif isinstance(f, NegLetter):
+            c = LetterSet(frozenset(alphabet.letters) - {f.name})
+        elif isinstance(f, Next):
+            c = NextState(state_of(f.operand))
+        elif isinstance(f, Or):
+            c = COr(build(f.left), build(f.right))
+        elif isinstance(f, And):
+            c = CAnd(build(f.left), build(f.right))
+        elif isinstance(f, Fix):
+            c = build(f.bodies[f.index])
+        elif isinstance(f, Var):
+            fix, j = binders[f.name]
+            c = build(fix.bodies[j])
+        else:
+            raise TypeError(f"not a nutl formula: {f!r}")
+        cache[f] = c
+        return c
+
+    return build
 
 
 def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAlternatingAutomaton, list[str]]:
@@ -483,53 +396,16 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAltern
     alphabet is given it is inferred from the letters that occur.
     """
     roots = list(phi_tuple)
-    _require_translatable(roots)
-    nodes, succ = dependence_graph(roots)
-    binders = binder_table(roots)
-    names = {f: f"s{i}" for i, f in enumerate(nodes)}
-
+    a = _require_translatable(roots)
+    names = {f: f"s{i}" for i, f in enumerate(a.nodes)}
     if alphabet is None:
-        alphabet = _alphabet_of(roots)
-
-    cond_cache = {}
-
-    def delta_of(f):
-        c = cond_cache.get(f)
-        if c is not None:
-            return c
-        if isinstance(f, Letter):
-            c = LetterSet(frozenset({f.name}))
-        elif isinstance(f, NegLetter):
-            c = LetterSet(frozenset(alphabet.letters) - {f.name})
-        elif isinstance(f, Next):
-            c = NextState(names[f.operand])
-        elif isinstance(f, Or):
-            c = COr(delta_of(f.left), delta_of(f.right))
-        elif isinstance(f, And):
-            c = CAnd(delta_of(f.left), delta_of(f.right))
-        elif isinstance(f, Fix):
-            c = delta_of(f.bodies[f.index])
-        elif isinstance(f, Var):
-            fix, j = binders[f.name]
-            c = delta_of(fix.bodies[j])
-        else:
-            raise TypeError(f"not a nutl formula: {f!r}")
-        cond_cache[f] = c
-        return c
-
-    delta = {names[f]: delta_of(f) for f in nodes}
+        alphabet = _alphabet_of(a.nodes)
+    build = _condition_builder(a.binders, alphabet, names.__getitem__)
+    delta = {names[f]: build(f) for f in a.nodes}
 
     recurring = set()
-    for comp in _sccs(nodes, succ):
-        if not _cyclic(comp, succ):
-            continue
-        kinds = set()
-        for f in comp:
-            if isinstance(f, Var):
-                kinds.add(binders[f.name][0].kind)
-            elif isinstance(f, Fix):
-                kinds.add(f.kind)
-        if kinds == {NU}:
+    for comp, kinds in _cyclic_kinds(a):
+        if kinds.keys() == {NU}:
             recurring.update(names[f] for f in comp)
 
     initial_states = [names[f] for f in roots]
@@ -547,10 +423,9 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
     exactly one state per fixed-point variable.
     """
     roots = list(phi_tuple)
-    _require_translatable(roots)
-    binders = binder_table(roots)
+    a = _require_translatable(roots)
     if alphabet is None:
-        alphabet = _alphabet_of(roots)
+        alphabet = _alphabet_of(a.nodes)
 
     def resolve(f):
         if isinstance(f, Var):
@@ -563,51 +438,23 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
             "use the subformula translation instead"
         )
 
-    cond_cache = {}
-
-    def build(f):
-        c = cond_cache.get(f)
-        if c is not None:
-            return c
-        if isinstance(f, Letter):
-            c = LetterSet(frozenset({f.name}))
-        elif isinstance(f, NegLetter):
-            c = LetterSet(frozenset(alphabet.letters) - {f.name})
-        elif isinstance(f, Next):
-            c = NextState(resolve(f.operand))
-        elif isinstance(f, Or):
-            c = COr(build(f.left), build(f.right))
-        elif isinstance(f, And):
-            c = CAnd(build(f.left), build(f.right))
-        elif isinstance(f, Fix):
-            c = build(f.bodies[f.index])
-        elif isinstance(f, Var):
-            fix, j = binders[f.name]
-            c = build(fix.bodies[j])
-        else:
-            raise TypeError(f"not a nutl formula: {f!r}")
-        cond_cache[f] = c
-        return c
-
+    build = _condition_builder(a.binders, alphabet, resolve)
     delta = {}
     recurring = set()
-    for name, (fix, j) in binders.items():
+    for name, (fix, j) in a.binders.items():
         delta[name] = build(fix.bodies[j])
         if fix.kind == NU:
             recurring.add(name)
 
     initial_states = [resolve(f) for f in roots]
     waa = WeakAlternatingAutomaton(
-        alphabet, binders.keys(), delta, recurring, initial=set(initial_states)
+        alphabet, a.binders.keys(), delta, recurring, initial=set(initial_states)
     )
     return waa, initial_states
 
 
-def _alphabet_of(roots) -> Alphabet:
-    letters = set()
-    for f in subformulas(roots):
-        if isinstance(f, (Letter, NegLetter)):
-            letters.add(f.name)
+def _alphabet_of(nodes) -> Alphabet:
+    letters = {f.name for f in nodes if isinstance(f, (Letter, NegLetter))}
     if not letters:
         raise SemanticError("cannot infer an alphabet from a letter-free formula")
     return Alphabet(tuple(letters))

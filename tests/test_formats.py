@@ -79,6 +79,40 @@ def test_condition_errors():
         parse_condition("X nope", AB, {"q"})
     with pytest.raises(FormatError):
         parse_condition("[a] [b]", AB, set())
+    # errors name the offending token's offset
+    for text, position in (("[a] | X nope", 8), ("[a z]", 3), ("[a] [b]", 4), ("([a]", 4)):
+        with pytest.raises(FormatError) as err:
+            parse_condition(text, AB, {"q"})
+        assert err.value.position == position, text
+
+
+def test_waa_with_punctuated_names_round_trips():
+    text = (
+        "alphabet: a-1 b.2\n"
+        "states: q.0 q-1\n"
+        "recurring: q-1\n"
+        "initial: q.0\n"
+        "delta q.0 = [a-1] | X q-1 & X q.0\n"
+        "delta q-1 = [a-1 b.2] & X q-1\n"
+    )
+    waa = parse_waa(text)
+    assert waa.alphabet.letters == ("a-1", "b.2")
+    assert waa.delta["q.0"] == Or(LetterSet({"a-1"}), And(NextState("q-1"), NextState("q.0")))
+    assert parse_waa(format_waa(waa)) == waa
+
+
+def test_header_without_space_after_colon():
+    waa = parse_waa(
+        "alphabet:a b\nstates:q0 q1\nrecurring:q1 q0\n"
+        "delta q0 = X q1\ndelta q1 = X q0\n"
+    )
+    assert waa.alphabet.letters == ("a", "b")
+    assert waa.recurring == frozenset({"q0", "q1"})
+    assert [(scc.states, scc.recurring) for scc in waa.sccs] == [(("q0", "q1"), True)]
+    nba = parse_nba("alphabet:a b\nstates:q0 q1\ninitial:q0\nbuchi:q1 q0\ntrans q0 a q1\n")
+    assert nba.alphabet.letters == ("a", "b")
+    assert nba.initial == frozenset({"q0"})
+    assert nba.buchi == frozenset({"q0", "q1"})
 
 
 def test_condition_format_round_trip():

@@ -1,0 +1,82 @@
+from hypothesis import given, settings, strategies as st
+
+from backdet import graph
+
+
+@st.composite
+def graphs(draw):
+    """Random directed graphs of up to 40 nodes with up to three edges per
+    node on average; the nodes are tuples, to show that any hashable value
+    works, listed in a shuffled order."""
+    n = draw(st.integers(1, 40))
+    nodes = draw(st.permutations([("v", k) for k in range(n)]))
+    ends = st.sampled_from(nodes)
+    m = draw(st.integers(0, 3 * n))
+    edges = draw(st.lists(st.tuples(ends, ends), min_size=m, max_size=m))
+    succ = {u: [] for u in nodes}
+    for u, w in edges:
+        if w not in succ[u]:
+            succ[u].append(w)
+    return nodes, succ
+
+
+def closure(nodes, succ):
+    """reach[u] = nodes reachable from u by one or more edges."""
+    reach = {u: set(succ[u]) for u in nodes}
+    for k in nodes:
+        for u in nodes:
+            if k in reach[u]:
+                reach[u] |= reach[k]
+    return reach
+
+
+def naive_reaches(nodes, succ, targets):
+    reached = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for v in nodes:
+            if v not in reached and any(u in reached for u in succ[v]):
+                reached.add(v)
+                changed = True
+    return reached
+
+
+FIXED = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@FIXED
+@given(graphs())
+def test_sccs_are_mutual_reachability_classes_successors_first(g):
+    nodes, succ = g
+    reach = closure(nodes, succ)
+    comps = graph.sccs(nodes, succ)
+    assert sorted(v for comp in comps for v in comp) == sorted(nodes)
+    for comp in comps:
+        expect = {v for v in nodes if v == comp[0] or (v in reach[comp[0]] and comp[0] in reach[v])}
+        assert set(comp) == expect
+        assert graph.is_cyclic(comp, succ) == (comp[0] in reach[comp[0]])
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    for u in nodes:
+        for w in succ[u]:
+            assert where[w] <= where[u]
+
+
+@FIXED
+@given(graphs(), st.data())
+def test_reaches_and_path_match_closure(g, data):
+    nodes, succ = g
+    targets = data.draw(st.sets(st.sampled_from(nodes), max_size=4))
+    assert graph.reaches(nodes, succ, targets) == naive_reaches(nodes, succ, targets)
+    reach = closure(nodes, succ)
+    src, dst = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+    allowed = set(nodes)
+    found = graph.path(src, dst, succ, allowed)
+    if src == dst:
+        assert found == [src]
+    elif dst not in reach[src]:
+        assert found is None
+    else:
+        assert found[0] == src and found[-1] == dst
+        assert all(b in succ[a] for a, b in zip(found, found[1:]))
+        assert len(set(found)) == len(found)

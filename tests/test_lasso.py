@@ -2,7 +2,7 @@ import pytest
 
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
-from backdet.errors import NoFinalRunError
+from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
 from backdet.lasso import (
     LassoWord,
     bda_final_run,
@@ -127,3 +127,10 @@ def test_language_member_waa_and_bda():
     assert not language_member(waa, w_no)
     assert language_member(bda, w_yes)
     assert not language_member(bda, w_no)
+
+
+def test_multiple_final_runs_error_carries_count():
+    err = MultipleFinalRunsError("3 final runs on a ; b", 3)
+    assert isinstance(err, FinalRunError)
+    assert err.count == 3
+    assert str(err) == "3 final runs on a ; b"

@@ -5,6 +5,7 @@ from backdet.construction import BackwardDetAutomaton
 from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, bda_final_run, waa_accept_table
 from backdet.nutl import (
+    And,
     Fix,
     Letter,
     MU,
@@ -66,11 +67,32 @@ def test_closed_and_free():
     assert free_vars(parse_nutl("O Z", AB)) == {"Z"}
 
 
+def _dependence_edge(f, g, binders):
+    if isinstance(f, Fix):
+        return g == f.bodies[f.index]
+    if isinstance(f, Var):
+        fix, j = binders[f.name]
+        return g == fix.bodies[j]
+    if isinstance(f, Next):
+        return g == f.operand
+    if isinstance(f, (Or, And)):
+        return g in (f.left, f.right)
+    return False
+
+
 def test_guardedness():
     assert check_guarded(parse_nutl(UNTIL, AB)) is None
+    assert check_guarded(parse_nutl("mu_0 (X,Y).(O Y; b | O X)", AB)) is None
     unguarded = Fix(MU, 0, ("X",), (Or(Letter("b"), Var("X")),))
-    cycle = check_guarded(unguarded)
-    assert cycle is not None
+    # X and Y call each other unguarded; the O on X's left is off the cycle
+    pair = parse_nutl("nu_0 (X,Y).(O a & (b | Y); a & X)", AB)
+    for phi in (unguarded, pair):
+        binders = {name: (phi, j) for j, name in enumerate(phi.vars)}
+        cycle = check_guarded(phi)
+        assert cycle
+        assert not any(isinstance(f, Next) for f in cycle)
+        for f, g in zip(cycle, cycle[1:] + cycle[:1]):
+            assert _dependence_edge(f, g, binders), (f, g)
 
 
 def test_alternation_freeness():
