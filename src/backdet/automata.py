@@ -68,17 +68,22 @@ class And(Condition):
 
 
 def condition_subformulas(cond: Condition) -> list[Condition]:
-    """All distinct subformulas of a condition, children before parents."""
+    """All subformula nodes of a condition, children before parents.
+
+    A node shared within the tree is listed once.  Nodes are told apart by
+    identity, because hashing a frozen condition node walks its whole
+    subtree.
+    """
     seen = set()
     out = []
 
     def walk(c):
-        if c in seen:
+        if id(c) in seen:
             return
         if isinstance(c, (Or, And)):
             walk(c.left)
             walk(c.right)
-        seen.add(c)
+        seen.add(id(c))
         out.append(c)
 
     walk(cond)
@@ -136,6 +141,7 @@ class WeakAlternatingAutomaton:
         self.recurring = frozenset(recurring)
         self.initial = None if initial is None else frozenset(initial)
         self._validate()
+        self._successors = {q: frozenset(condition_states(self.delta[q])) for q in self.states}
         self.sccs = scc_decompose(self)
         self._scc_of = {}
         for idx, scc in enumerate(self.sccs):
@@ -162,8 +168,9 @@ class WeakAlternatingAutomaton:
         if self.initial is not None and not self.initial <= declared:
             raise ValueError("initial set contains undeclared states")
 
-    def successors(self, q: str) -> set:
-        return condition_states(self.delta[q])
+    def successors(self, q: str) -> frozenset:
+        """States referenced in delta(q); computed once per automaton."""
+        return self._successors[q]
 
     def scc_of(self, q: str) -> int:
         """Index of q's SCC in the topologically sorted SCC list."""

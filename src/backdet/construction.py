@@ -59,8 +59,16 @@ class TransitionRecord:
 class BackwardDetAutomaton:
     """The backward deterministic automaton derived from a weak automaton.
 
-    The transition function is evaluated lazily and memoized per
-    (letter, family); the full state space is only materialized on request.
+    A transition is computed SCC by SCC (:meth:`scc_step`): an SCC's next
+    values read the raw values of its own states and only the normalized
+    (0/inf) values of the states outside it that its conditions refer to.
+    The per-SCC step is memoized on (letter, own raw values, those outside
+    values), so for an SCC of m states whose conditions read e outside
+    states the memo holds at most |alphabet| * (m+1)^m * 2^e entries,
+    however many words are asked.  :meth:`step` composes the per-SCC steps
+    on a whole family and is memoized per (letter, family); only the
+    reference enumeration and the formatting paths call it.  The full state
+    space is only materialized on request.
     """
 
     def __init__(self, waa: WeakAlternatingAutomaton):
@@ -74,9 +82,14 @@ class BackwardDetAutomaton:
             (s, i) for s, scc in enumerate(waa.sccs) for i in range(1, scc.size + 1)
         )
         assert len(self.buchi_indices) == len(waa.states)
+        # per SCC: the outside states its conditions read, sorted
+        self.outside_states = tuple(
+            tuple(sorted(frozenset().union(*map(waa.successors, scc.states)) - set(scc.states)))
+            for scc in waa.sccs
+        )
+        self.scc_memo = [{} for _ in waa.sccs]
         self._cache = {}
         self._space = None
-        self.final_boundary_cache = {}
 
     @property
     def state_space_bound(self) -> int:
@@ -86,10 +99,13 @@ class BackwardDetAutomaton:
             bound *= (scc.size + 1) ** scc.size
         return bound
 
-    def eval_condition(self, q: str, letter: str, family: ValueFamily) -> Value:
+    def eval_condition(self, q: str, letter: str, values) -> Value:
         """Intermediate value of state q after reading ``letter`` backward.
 
-        May return 0; the lifting in :meth:`step` restores the 1..|S| range.
+        ``values`` maps every state delta(q) refers to onto its value at
+        the next position; only the normalized value of a state outside q's
+        SCC is read.  May return 0; the lifting in :meth:`scc_step` restores
+        the 1..|S| range.
         """
         waa = self.waa
         recurring = waa.is_recurring(q)
@@ -102,7 +118,7 @@ class BackwardDetAutomaton:
                     return INF if hit else 0
                 return 0 if hit else INF
             if isinstance(cond, NextState):
-                v = family[self.state_pos[cond.state]]
+                v = values[cond.state]
                 if waa.scc_of(cond.state) == q_scc:
                     return v
                 v = norm(v)
@@ -119,39 +135,62 @@ class BackwardDetAutomaton:
 
         return ev(waa.delta[q])
 
+    def scc_step(self, s: int, letter: str, own: tuple, outside: tuple) -> tuple:
+        """SCC s's part of one backward transition, memoized.
+
+        ``own`` holds the next position's values of the SCC's states (in
+        ``waa.sccs[s].states`` order), ``outside`` the normalized values of
+        ``outside_states[s]``.  Returns (lifted values, fired Buchi indices,
+        critical value).
+        """
+        memo = self.scc_memo[s]
+        key = (letter, own, outside)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self._compute_scc_step(s, letter, own, outside)
+        return got
+
+    def _compute_scc_step(self, s, letter, own, outside):
+        scc = self.waa.sccs[s]
+        values = dict(zip(scc.states, own))
+        values.update(zip(self.outside_states[s], outside))
+        tilde = [self.eval_condition(q, letter, values) for q in scc.states]
+        finite = {v for v in tilde if v != INF}
+        m = 0
+        while m in finite:
+            m += 1
+        lifted = tilde if m == 0 else [v if v > m else v + 1 for v in tilde]
+        # (S,i) fires when the lifting bumps every value at level <= i
+        # (i <= m) or no finite value at level >= i survives at all;
+        # either way no value chain can sit at level i across this step
+        fired = frozenset(
+            (s, i)
+            for i in range(1, scc.size + 1)
+            if i <= m or not any(v != INF and v >= i for v in lifted)
+        )
+        return tuple(lifted), fired, m
+
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:
         """rho(letter, family) together with critical values and fired sets."""
         key = (letter, family)
         rec = self._cache.get(key)
         if rec is None:
-            rec = self._compute_step(letter, family)
-            self._cache[key] = rec
+            rec = self._cache[key] = self._compute_step(letter, family)
         return rec
 
     def _compute_step(self, letter, family):
-        waa = self.waa
-        result = [None] * len(waa.states)
+        pos = self.state_pos
+        result = [None] * len(family)
         fired = set()
         critical = []
-        for s, scc in enumerate(waa.sccs):
-            tilde = [self.eval_condition(q, letter, family) for q in scc.states]
-            finite = {v for v in tilde if v != INF}
-            m = 0
-            while m in finite:
-                m += 1
-            if m == 0:
-                lifted = tilde
-            else:
-                lifted = [v if v > m else v + 1 for v in tilde]
-            critical.append(m)
+        for s, scc in enumerate(self.waa.sccs):
+            own = tuple(family[pos[q]] for q in scc.states)
+            outside = tuple(norm(family[pos[q]]) for q in self.outside_states[s])
+            lifted, scc_fired, m = self.scc_step(s, letter, own, outside)
             for q, v in zip(scc.states, lifted):
-                result[self.state_pos[q]] = v
-            # (S,i) fires when the lifting bumps every value at level <= i
-            # (i <= m) or no finite value at level >= i survives at all;
-            # either way no value chain can sit at level i across this step
-            for i in range(1, scc.size + 1):
-                if i <= m or not any(v != INF and v >= i for v in lifted):
-                    fired.add((s, i))
+                result[pos[q]] = v
+            fired |= scc_fired
+            critical.append(m)
         return TransitionRecord(letter, family, tuple(result), frozenset(fired), tuple(critical))
 
     def output(self, family: ValueFamily) -> frozenset:
@@ -165,9 +204,6 @@ class BackwardDetAutomaton:
             elif v != INF:
                 out.add(q)
         return frozenset(out)
-
-    def all_inf_family(self) -> ValueFamily:
-        return tuple(INF for _ in self.waa.states)
 
     def enumerate_state_space(self, cap: int) -> list[ValueFamily]:
         """All well-formed families; refuses if the bound exceeds ``cap``."""

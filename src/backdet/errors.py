@@ -6,13 +6,18 @@ class BackdetError(Exception):
 
 
 class FormatError(BackdetError):
-    """Malformed input text (automata files, formulas, lassos)."""
+    """Malformed input text (automata files, formulas, lassos).
+
+    ``reason`` is the message without ``position``, which is an offset into
+    the text or a line reference.
+    """
 
     def __init__(self, message, position=None):
+        self.reason = message
+        self.position = position
         if position is not None:
             message = f"{message} (at {position})"
         super().__init__(message)
-        self.position = position
 
 
 class SemanticError(BackdetError):
@@ -29,7 +34,16 @@ class StateSpaceCapError(BackdetError):
 
 
 class FinalRunError(BackdetError):
-    """The backward automaton violated the exactly-one-final-run guarantee."""
+    """The backward automaton violated the exactly-one-final-run guarantee.
+
+    ``word`` is the lasso word and ``scc`` the index of the SCC whose
+    search failed, when known.
+    """
+
+    def __init__(self, message, word=None, scc=None):
+        super().__init__(message)
+        self.word = word
+        self.scc = scc
 
 
 class NoFinalRunError(FinalRunError):
@@ -39,6 +53,6 @@ class NoFinalRunError(FinalRunError):
 class MultipleFinalRunsError(FinalRunError):
     """More than one candidate run is final; ``count`` says how many."""
 
-    def __init__(self, message, count):
-        super().__init__(message)
+    def __init__(self, message, count, word=None, scc=None):
+        super().__init__(message, word, scc)
         self.count = count

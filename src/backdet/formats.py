@@ -152,7 +152,10 @@ def parse_waa(text: str) -> WeakAlternatingAutomaton:
         q = q.strip()
         if q in delta:
             raise FormatError(f"duplicate delta for {q}", f"line {lineno}")
-        delta[q] = parse_condition(cond_text.strip(), alphabet, states)
+        try:
+            delta[q] = parse_condition(cond_text.strip(), alphabet, states)
+        except FormatError as e:
+            raise FormatError(e.reason, f"line {lineno}, condition offset {e.position}") from None
     return WeakAlternatingAutomaton(alphabet, states, delta, headers["recurring"], headers.get("initial"))
 
 

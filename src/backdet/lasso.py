@@ -12,10 +12,11 @@ backward deterministic automaton.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton
-from .construction import BackwardDetAutomaton
+from .construction import INF, BackwardDetAutomaton, TransitionRecord, norm
 from .errors import MultipleFinalRunsError, NoFinalRunError, SemanticError
 
 DEFAULT_ENUMERATION_CAP = 1 << 16
@@ -164,112 +165,121 @@ def _functional_graph_cycles(h, nodes):
     return cycles
 
 
-def _iterate_to_cycle(h, seed):
-    seen = {}
-    path = []
-    v = seed
-    while v not in seen:
-        seen[v] = len(path)
-        path.append(v)
-        v = h(v)
-    return path[seen[v]:]
+def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
+    """Compute the unique final run on a lasso, SCC by SCC.
 
+    An SCC's next values read only its own values and the normalized values
+    of lower SCCs, so the SCCs are settled successors first, each by an
+    exhaustive search of its own (m+1)^m values.  For SCC s, h composes the
+    per-SCC step (:meth:`BackwardDetAutomaton.scc_step`) over one period,
+    reading the settled lower SCCs' values, and maps s's values at a period
+    boundary to its values one period earlier.  An infinite backward run
+    pins the boundary values to an infinite chain of h-preimages, which on a
+    finite function graph only exists along cycles of h, so enumerating the
+    h-cycles finds every candidate.  A cycle of length k yields k candidates
+    (one per rotation); a candidate is final iff every Buchi index of s in
+    ``bda.buchi_indices`` fires within the cycle.  Exactly one candidate per
+    SCC may pass: none raises :class:`NoFinalRunError`, more than one
+    :class:`MultipleFinalRunsError`, both naming the word and the SCC.
 
-def bda_final_run(
-    bda: BackwardDetAutomaton,
-    w: LassoWord,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    exhaustive: bool | None = None,
-) -> BackwardRun:
-    """Compute the unique final run on a lasso by h-cycle enumeration.
-
-    h composes the backward transition function over one period, mapping the
-    family at a period boundary to the family one period earlier.  An
-    infinite backward run pins the boundary families to an infinite chain of
-    h-preimages, which on a finite function graph only exists along cycles
-    of h, so enumerating h-cycles finds every candidate periodic run.  A
-    cycle of length k yields k candidate runs (one per rotation); a
-    candidate is final iff every generalized Buchi set fires within the
-    cycle.  Exactly one candidate may pass.
-
-    With ``exhaustive`` (the default whenever the state space fits in
-    ``cap``) the whole functional graph of h is decomposed, which makes the
-    uniqueness check complete.  Otherwise cycles are only searched from a
-    seed set, which finds the final run for well-formed constructions but
-    cannot prove global uniqueness.
+    The cost is a sum over SCCs of (m+1)^m * |v| memoized per-SCC steps,
+    not a product; :func:`count_final_candidates` is the product-space
+    reference.
     """
-    auto = exhaustive is None
-    if auto:
-        cached = bda.final_boundary_cache.get(w.period)
-        if cached is not None:
-            return _assemble_run(bda, w, cached, 1)
-        exhaustive = bda.state_space_bound <= cap
+    waa = bda.waa
+    n, loop = w.positions, w.loop_start
+    letters = [w.letter(i) for i in range(n)]
+    succ = [w.succ(i) for i in range(n)]
+    period = range(n - 1, loop - 1, -1)
+    pos = bda.state_pos
+    families = [[None] * len(waa.states) for _ in range(n)]
+    fired = [set() for _ in range(n)]
+    critical = [[] for _ in range(n)]
+    need = {}
+    for index in bda.buchi_indices:
+        need.setdefault(index[0], set()).add(index)
+    for s, scc in enumerate(waa.sccs):
+        outside = [pos[q] for q in bda.outside_states[s]]
+        # the outside values the step into position i reads, at succ(i)
+        reads = [tuple(norm(families[succ[i]][p]) for p in outside) for i in range(n)]
+
+        def step(i, own):
+            return bda.scc_step(s, letters[i], own, reads[i])
+
+        # one period from each of the (m+1)^m boundary values: its image
+        # under h and the Buchi indices fired on the way
+        image, fired_on = {}, {}
+        for start in itertools.product([*range(1, scc.size + 1), INF], repeat=scc.size):
+            own, got = start, set()
+            for i in period:
+                own, scc_fired, _ = step(i, own)
+                got |= scc_fired
+            image[start], fired_on[start] = own, got
+        cycles = _functional_graph_cycles(image.__getitem__, image)
+        finals = []
+        for cyc in cycles:
+            if set().union(*map(fired_on.__getitem__, cyc)) >= need.get(s, set()):
+                # each rotation of a final cycle is a distinct final run
+                finals.extend(cyc)
+        if not finals:
+            raise NoFinalRunError(
+                f"no final run on {w}: SCC {s} has no final candidate "
+                f"({len(cycles)} h-cycles checked)",
+                word=w, scc=s,
+            )
+        if len(finals) > 1:
+            detail = ", ".join(
+                " ".join(f"{q}={'inf' if v == INF else v}" for q, v in zip(scc.states, own))
+                for own in finals
+            )
+            raise MultipleFinalRunsError(
+                f"{len(finals)} final runs on {w} in SCC {s}: {detail}",
+                len(finals), word=w, scc=s,
+            )
+        own = finals[0]
+        for i in range(n - 1, -1, -1):
+            own, scc_fired, m = step(i, own)
+            family = families[i]
+            for q, v in zip(scc.states, own):
+                family[pos[q]] = v
+            fired[i] |= scc_fired
+            critical[i].append(m)
+    families = [tuple(f) for f in families]
+    records = tuple(
+        TransitionRecord(letters[i], families[succ[i]], families[i], frozenset(fired[i]), tuple(critical[i]))
+        for i in range(n)
+    )
+    return BackwardRun(w, tuple(families), records, len(w.period))
+
+
+def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:
+    """Number of final candidate runs over the whole product space.
+
+    The reference for :func:`bda_final_run`: h composes the full backward
+    transition function over one period, every cycle of its functional
+    graph on all families is found, and each rotation of a cycle that fires
+    every Buchi index counts once.  Raises :class:`StateSpaceCapError` when
+    the state space exceeds ``cap``.
+    """
+    return len(_final_boundaries(bda, w, cap))
+
+
+def _final_boundaries(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> list:
+    """The loop-start family of every final candidate in the product space."""
 
     def h(f):
         return _period_step(bda, w, f)[0]
 
-    if exhaustive:
-        nodes = bda.enumerate_state_space(cap)
-        cycles = _functional_graph_cycles(h, nodes)
-    else:
-        seen_cycles = set()
-        cycles = []
-        for seed in (bda.all_inf_family(),):
-            cyc = _iterate_to_cycle(h, seed)
-            key = frozenset(cyc)
-            if key not in seen_cycles:
-                seen_cycles.add(key)
-                cycles.append(cyc)
-
+    need = set(bda.buchi_indices)
     finals = []
-    for cyc in cycles:
+    for cyc in _functional_graph_cycles(h, bda.enumerate_state_space(cap)):
         fired = set()
         for f in cyc:
-            _, records = _period_step(bda, w, f)
-            for rec in records:
+            for rec in _period_step(bda, w, f)[1]:
                 fired |= rec.fired
-        if fired >= set(bda.buchi_indices):
-            # each rotation of a final cycle is a distinct final run
-            for f in cyc:
-                finals.append((f, len(cyc)))
-
-    if not finals:
-        raise NoFinalRunError(
-            f"no final run on {w} ({len(cycles)} h-cycles checked, "
-            f"exhaustive={exhaustive})"
-        )
-    if len(finals) > 1:
-        detail = ", ".join(bda.format_family(f) for f, _ in finals)
-        raise MultipleFinalRunsError(f"{len(finals)} final runs on {w}: {detail}", len(finals))
-
-    boundary, cycle_len = finals[0]
-    bda.final_boundary_cache[w.period] = boundary
-    return _assemble_run(bda, w, boundary, cycle_len)
-
-
-def _assemble_run(bda, w, boundary, cycle_len):
-    families = [None] * w.positions
-    records = [None] * w.positions
-    cur = boundary
-    for i in range(w.positions - 1, -1, -1):
-        rec = bda.step(w.letter(i), cur)
-        records[i] = rec
-        families[i] = rec.result
-        cur = rec.result
-    # loop wrap consistency: the family at loop start must close the cycle
-    assert families[w.loop_start] == boundary
-    return BackwardRun(w, tuple(families), tuple(records), cycle_len * len(w.period))
-
-
-def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:
-    """Number of final candidate runs under exhaustive h-cycle enumeration."""
-    try:
-        bda_final_run(bda, w, cap=cap, exhaustive=True)
-        return 1
-    except NoFinalRunError:
-        return 0
-    except MultipleFinalRunsError as e:
-        return e.count
+        if fired >= need:
+            finals.extend(cyc)
+    return finals
 
 
 @dataclass

@@ -86,6 +86,19 @@ def test_condition_errors():
         assert err.value.position == position, text
 
 
+def test_waa_condition_errors_name_their_line():
+    head = "alphabet: a b\nstates: q\nrecurring:\n"
+    for body, position in (
+        ("delta q = [a] | X r\n", "line 4, condition offset 8"),
+        ("# comment\ndelta q = [a] |\n", "line 5, condition offset 5"),
+        ("delta q = [c]\n", "line 4, condition offset 1"),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse_waa(head + body)
+        assert err.value.position == position, body
+        assert str(err.value).endswith(f"(at {position})")
+
+
 def test_waa_with_punctuated_names_round_trips():
     text = (
         "alphabet: a-1 b.2\n"

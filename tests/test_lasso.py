@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
 from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
 from backdet.lasso import (
+    DEFAULT_ENUMERATION_CAP,
     LassoWord,
+    _final_boundaries,
     bda_final_run,
     count_final_candidates,
     cross_validate,
@@ -12,7 +16,9 @@ from backdet.lasso import (
     waa_accept_table,
     waa_accepts_lasso,
 )
-from backdet.ltl import ltl_to_waa, parse_ltl
+from backdet.ltl import ltl_to_waa, ltl_truth_vector, parse_ltl, random_ltl
+from backdet.nba import nba_accepts_lasso, nba_to_bda
+from backdet.validation import exhaustive_lassos, random_nba, random_waa
 
 AB = Alphabet(("a", "b"))
 
@@ -92,13 +98,29 @@ def test_self_loop_unique_final_run_empty_output():
         assert all(out == frozenset() for out in run.outputs(bda))
 
 
-def test_exhaustive_and_lazy_agree():
-    waa = ltl_to_waa(parse_ltl("a U b", AB), AB)
-    bda = BackwardDetAutomaton(waa)
-    w = LassoWord(("a",), ("b", "a"))
-    full = bda_final_run(bda, w, exhaustive=True)
-    lazy = bda_final_run(bda, w, exhaustive=False)
-    assert full.families == lazy.families
+def test_final_run_matches_product_space_search():
+    # the SCC-by-SCC search against the whole product space's h-cycles:
+    # random weak automata with bound <= 2^12, every lasso |u| <= 2, |v| <= 2
+    rng = random.Random(4)
+    lassos = list(exhaustive_lassos(AB, 2, 2))
+    automata = 0
+    while automata < 25:
+        waa = random_waa(rng, AB, rng.randint(1, 5))
+        bda = BackwardDetAutomaton(waa)
+        if bda.state_space_bound > 1 << 12:
+            continue
+        automata += 1
+        for w in lassos:
+            (boundary,) = _final_boundaries(bda, w, 1 << 12)
+            run = bda_final_run(bda, w)
+            cur = boundary
+            for i in range(w.positions - 1, -1, -1):
+                rec = bda.step(w.letter(i), cur)
+                assert run.records[i] == rec, (str(w), i)
+                assert run.families[i] == rec.result
+                cur = rec.result
+            assert cur == run.families[0] and run.families[w.loop_start] == boundary
+            assert run.cycle_length == len(w.period)
 
 
 def test_no_final_run_error_mentions_word():
@@ -108,8 +130,26 @@ def test_no_final_run_error_mentions_word():
     waa = WeakAlternatingAutomaton(AB, ["q"], {"q": NextState("q")}, [])
     bda = BackwardDetAutomaton(waa)
     bda.buchi_indices = bda.buchi_indices + ((0, 99),)
-    with pytest.raises(NoFinalRunError):
-        bda_final_run(bda, LassoWord((), ("a",)))
+    w = LassoWord((), ("a",))
+    with pytest.raises(NoFinalRunError) as err:
+        bda_final_run(bda, w)
+    assert err.value.word == w and err.value.scc == 0
+    assert str(w) in str(err.value)
+
+
+def test_multiple_final_runs_error_names_word_and_scc():
+    # without the Buchi indices of q_G_F_a's SCC, which reads q_F_a's SCC
+    # below it, both of its constant runs on a^omega (1 and inf) are final
+    waa = ltl_to_waa(parse_ltl("G F a", AB), AB)
+    bda = BackwardDetAutomaton(waa)
+    s = waa.scc_of("q_G_F_a")
+    assert s > waa.scc_of("q_F_a")
+    bda.buchi_indices = tuple(index for index in bda.buchi_indices if index[0] != s)
+    w = LassoWord(("b",), ("a",))
+    with pytest.raises(MultipleFinalRunsError) as err:
+        bda_final_run(bda, w)
+    assert (err.value.word, err.value.scc, err.value.count) == (w, s, 2)
+    assert count_final_candidates(bda, w) == 2
 
 
 def test_cross_validate_mismatch_reporting():
@@ -134,3 +174,69 @@ def test_multiple_final_runs_error_carries_count():
     assert isinstance(err, FinalRunError)
     assert err.count == 3
     assert str(err) == "3 final runs on a ; b"
+    assert err.word is None and err.scc is None
+    w = LassoWord(("a",), ("b",))
+    err = NoFinalRunError("no final run", word=w, scc=2)
+    assert (err.word, err.scc, str(err)) == (w, 2, "no final run")
+
+
+def test_final_runs_above_the_cap_match_the_ltl_semantics():
+    # LTL automata of 17-40 states (bound 2^17 and more) on random lassos:
+    # every answer exists and agrees with the formula and the WAA oracle
+    rng = random.Random(11)
+    formulas = 0
+    while formulas < 30:
+        phi = random_ltl(rng, AB, rng.randint(25, 60))
+        waa = ltl_to_waa(phi, AB)
+        if not 17 <= len(waa.states) <= 40:
+            continue
+        formulas += 1
+        bda = BackwardDetAutomaton(waa)
+        assert bda.state_space_bound > DEFAULT_ENUMERATION_CAP
+        (q_phi,) = waa.initial
+        for _ in range(8):
+            w = _random_lasso(rng, 4, 6)
+            run = bda_final_run(bda, w)
+            table = waa_accept_table(waa, w)
+            outs = run.outputs(bda)
+            for i, (out, truth) in enumerate(zip(outs, ltl_truth_vector(phi, w))):
+                assert out == {q for q in waa.states if table[(i, q)]}, (str(phi), str(w), i)
+                assert (q_phi in out) == truth, (str(phi), str(w), i)
+
+
+def test_final_runs_above_the_cap_match_the_nba_semantics():
+    # 3-state Buchi automata through the rank-formula pipeline (18 states,
+    # bound above the cap) on random lassos, against nba_accepts_lasso
+    rng = random.Random(12)
+    for _ in range(6):
+        nba = random_nba(rng, AB, 3)
+        res = nba_to_bda(nba)
+        assert res.bda.state_space_bound > DEFAULT_ENUMERATION_CAP
+        for _ in range(15):
+            w = _random_lasso(rng, 3, 5)
+            run = bda_final_run(res.bda, w)
+            expect = {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}
+            assert res.accepting_states(run, 0) == expect, str(w)
+
+
+def _random_lasso(rng, u_max, v_max):
+    letters = list(AB)
+    u = [rng.choice(letters) for _ in range(rng.randint(0, u_max))]
+    v = [rng.choice(letters) for _ in range(rng.randint(1, v_max))]
+    return LassoWord(u, v)
+
+
+def test_step_memo_stays_within_its_bound():
+    # many lassos on one long-lived automaton: each SCC's memo holds at
+    # most |alphabet| * (m+1)^m * 2^(outside states read) entries, and the
+    # per-family memo of step() is never filled by answers
+    rng = random.Random(5)
+    nba = random_nba(rng, AB, 2)
+    res = nba_to_bda(nba)
+    bda = res.bda
+    for _ in range(400):
+        bda_final_run(bda, _random_lasso(rng, 6, 8))
+    for s, scc in enumerate(res.waa.sccs):
+        bound = len(AB) * (scc.size + 1) ** scc.size * 2 ** len(bda.outside_states[s])
+        assert len(bda.scc_memo[s]) <= bound
+    assert not bda._cache
