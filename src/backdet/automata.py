@@ -95,16 +95,26 @@ def condition_states(cond: Condition) -> set:
     return {c.state for c in condition_subformulas(cond) if isinstance(c, NextState)}
 
 
-def dual_condition(cond: Condition, alphabet: Alphabet) -> Condition:
-    if isinstance(cond, LetterSet):
-        return LetterSet(frozenset(alphabet.letters) - cond.letters)
-    if isinstance(cond, NextState):
-        return cond
+def fold(cond: Condition, atom, disj, conj):
+    """Bottom-up walk of a condition tree: ``atom`` maps each letter test and
+    next-state reference to a value, ``disj`` and ``conj`` combine the values
+    of an Or or And node's two children."""
     if isinstance(cond, Or):
-        return And(dual_condition(cond.left, alphabet), dual_condition(cond.right, alphabet))
+        return disj(fold(cond.left, atom, disj, conj), fold(cond.right, atom, disj, conj))
     if isinstance(cond, And):
-        return Or(dual_condition(cond.left, alphabet), dual_condition(cond.right, alphabet))
+        return conj(fold(cond.left, atom, disj, conj), fold(cond.right, atom, disj, conj))
+    if isinstance(cond, (LetterSet, NextState)):
+        return atom(cond)
     raise TypeError(f"not a condition: {cond!r}")
+
+
+def dual_condition(cond: Condition, alphabet: Alphabet) -> Condition:
+    def atom(c):
+        if isinstance(c, LetterSet):
+            return LetterSet(frozenset(alphabet.letters) - c.letters)
+        return c
+
+    return fold(cond, atom, And, Or)
 
 
 @dataclass(frozen=True)

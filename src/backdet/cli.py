@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .automata import Alphabet, is_very_weak, validate_weak
+from .automata import Alphabet, is_very_weak
 from .construction import BackwardDetAutomaton
 from .dot import period_graph_to_dot, waa_to_dot
 from .errors import FormatError, SemanticError, StateSpaceCapError
@@ -89,22 +89,15 @@ def cmd_nba2nutl(args):
 
 
 def cmd_waa2bda(args):
-    waa = parse_waa(_read(args.input))
-    mixed = validate_weak(waa)
-    if mixed:
-        raise SemanticError(f"automaton is not weak, mixed SCC: {list(mixed[0].states)}")
-    bda = BackwardDetAutomaton(waa)
+    bda = BackwardDetAutomaton(parse_waa(_read(args.input)))
     _write(args.output, format_bda(bda, enumerate_cap=args.enumerate))
     return EXIT_OK
 
 
 def cmd_run(args):
     waa = parse_waa(_read(args.automaton))
-    mixed = validate_weak(waa)
-    if mixed:
-        raise SemanticError(f"automaton is not weak, mixed SCC: {list(mixed[0].states)}")
-    w = parse_lasso(args.lasso, waa.alphabet)
     bda = BackwardDetAutomaton(waa)
+    w = parse_lasso(args.lasso, waa.alphabet)
     run = bda_final_run(bda, w)
     table = waa_accept_table(waa, w)
     print(f"word: {w}")
@@ -155,9 +148,6 @@ def cmd_dot(args):
     if args.lasso is None:
         _write(args.output, waa_to_dot(waa))
         return EXIT_OK
-    mixed = validate_weak(waa)
-    if mixed:
-        raise SemanticError(f"automaton is not weak, mixed SCC: {list(mixed[0].states)}")
     bda = BackwardDetAutomaton(waa)
     w = parse_lasso(args.lasso, waa.alphabet)
     _write(args.output, period_graph_to_dot(bda, w, cap=args.cap))

@@ -5,8 +5,10 @@ automaton state, drawn from {1, ..., |SCC|, inf}.  The transition function
 works backward (the new family at position i is computed from the letter at
 i and the family at i+1) in two stages: per-state evaluation of the
 transition condition, then a per-SCC lifting controlled by the critical
-value.  Acceptance is a generalized transition Buchi condition with one set
-per automaton state.
+value.  An SCC's step reads raw values only from its own states; of the
+states below it, it reads only whether they accept (:func:`accepts`).
+Acceptance is a generalized transition Buchi condition with one set per
+automaton state.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton, validate_weak
+from .automata import LetterSet, WeakAlternatingAutomaton, fold, validate_weak
 from .errors import StateSpaceCapError
 
 INF = math.inf
@@ -26,18 +28,10 @@ Value = float
 ValueFamily = tuple
 
 
-def norm(v: Value) -> Value:
-    """Collapse finite values to 0, keep inf."""
-    return INF if v == INF else 0
-
-
-def neg(v: Value) -> Value:
-    """Swap 0 and inf; only defined on normalized values."""
-    if v == INF:
-        return 0
-    if v == 0:
-        return INF
-    raise ValueError(f"neg is only defined on 0 and inf, got {v}")
+def accepts(v: Value, recurring: bool) -> bool:
+    """The lambda rule: a recurring state accepts where its value is inf, a
+    non-recurring one where its value is finite."""
+    return (v == INF) == recurring
 
 
 @dataclass(frozen=True)
@@ -60,15 +54,14 @@ class BackwardDetAutomaton:
     """The backward deterministic automaton derived from a weak automaton.
 
     A transition is computed SCC by SCC (:meth:`scc_step`): an SCC's next
-    values read the raw values of its own states and only the normalized
-    (0/inf) values of the states outside it that its conditions refer to.
-    The per-SCC step is memoized on (letter, own raw values, those outside
-    values), so for an SCC of m states whose conditions read e outside
-    states the memo holds at most |alphabet| * (m+1)^m * 2^e entries,
-    however many words are asked.  :meth:`step` composes the per-SCC steps
-    on a whole family and is memoized per (letter, family); only the
-    reference enumeration and the formatting paths call it.  The full state
-    space is only materialized on request.
+    values read the raw values of its own states and, of the states outside
+    it that its conditions refer to, only whether they accept.  The per-SCC
+    step is memoized on (letter, own raw values, those acceptance bits), so
+    for an SCC of m states whose conditions read e outside states the memo
+    holds at most |alphabet| * (m+1)^m * 2^e entries, however many words
+    are asked.  ``scc_memo`` is the only memo the automaton keeps:
+    :meth:`step` composes the per-SCC steps on a whole family, and the full
+    state space is enumerated afresh on each request.
     """
 
     def __init__(self, waa: WeakAlternatingAutomaton):
@@ -88,8 +81,6 @@ class BackwardDetAutomaton:
             for scc in waa.sccs
         )
         self.scc_memo = [{} for _ in waa.sccs]
-        self._cache = {}
-        self._space = None
 
     @property
     def state_space_bound(self) -> int:
@@ -102,46 +93,37 @@ class BackwardDetAutomaton:
     def eval_condition(self, q: str, letter: str, values) -> Value:
         """Intermediate value of state q after reading ``letter`` backward.
 
-        ``values`` maps every state delta(q) refers to onto its value at
-        the next position; only the normalized value of a state outside q's
-        SCC is read.  May return 0; the lifting in :meth:`scc_step` restores
-        the 1..|S| range.
+        ``values`` maps each state of q's SCC that delta(q) refers to onto
+        its value at the next position, and each other state it refers to
+        onto whether that state accepts there.  A letter test or an outside
+        state evaluates to inf when its truth equals q's polarity, else to 0.
+        May return 0; the lifting in :meth:`scc_step` restores the 1..|S|
+        range.
         """
         waa = self.waa
         recurring = waa.is_recurring(q)
         q_scc = waa.scc_of(q)
 
-        def ev(cond):
-            if isinstance(cond, LetterSet):
-                hit = letter in cond.letters
-                if recurring:
-                    return INF if hit else 0
-                return 0 if hit else INF
-            if isinstance(cond, NextState):
-                v = values[cond.state]
-                if waa.scc_of(cond.state) == q_scc:
-                    return v
-                v = norm(v)
-                if waa.is_recurring(cond.state) != recurring:
-                    v = neg(v)
-                return v
-            if isinstance(cond, Or):
-                a, b = ev(cond.left), ev(cond.right)
-                return max(a, b) if recurring else min(a, b)
-            if isinstance(cond, And):
-                a, b = ev(cond.left), ev(cond.right)
-                return min(a, b) if recurring else max(a, b)
-            raise TypeError(f"not a condition: {cond!r}")
+        def atom(c):
+            if isinstance(c, LetterSet):
+                holds = letter in c.letters
+            elif waa.scc_of(c.state) == q_scc:
+                return values[c.state]
+            else:
+                holds = values[c.state]
+            return INF if holds == recurring else 0
 
-        return ev(waa.delta[q])
+        if recurring:
+            return fold(waa.delta[q], atom, max, min)
+        return fold(waa.delta[q], atom, min, max)
 
     def scc_step(self, s: int, letter: str, own: tuple, outside: tuple) -> tuple:
         """SCC s's part of one backward transition, memoized.
 
         ``own`` holds the next position's values of the SCC's states (in
-        ``waa.sccs[s].states`` order), ``outside`` the normalized values of
-        ``outside_states[s]``.  Returns (lifted values, fired Buchi indices,
-        critical value).
+        ``waa.sccs[s].states`` order), ``outside`` for each state of
+        ``outside_states[s]`` whether it accepts there (:func:`accepts`).
+        Returns (lifted values, fired Buchi indices, critical value).
         """
         memo = self.scc_memo[s]
         key = (letter, own, outside)
@@ -172,20 +154,13 @@ class BackwardDetAutomaton:
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:
         """rho(letter, family) together with critical values and fired sets."""
-        key = (letter, family)
-        rec = self._cache.get(key)
-        if rec is None:
-            rec = self._cache[key] = self._compute_step(letter, family)
-        return rec
-
-    def _compute_step(self, letter, family):
-        pos = self.state_pos
+        pos, recurring = self.state_pos, self.waa.recurring
         result = [None] * len(family)
         fired = set()
         critical = []
         for s, scc in enumerate(self.waa.sccs):
-            own = tuple(family[pos[q]] for q in scc.states)
-            outside = tuple(norm(family[pos[q]]) for q in self.outside_states[s])
+            own = tuple([family[pos[q]] for q in scc.states])
+            outside = tuple([accepts(family[pos[q]], q in recurring) for q in self.outside_states[s]])
             lifted, scc_fired, m = self.scc_step(s, letter, own, outside)
             for q, v in zip(scc.states, lifted):
                 result[pos[q]] = v
@@ -196,27 +171,18 @@ class BackwardDetAutomaton:
     def output(self, family: ValueFamily) -> frozenset:
         """Lambda: finite non-recurring values and infinite recurring ones."""
         waa = self.waa
-        out = set()
-        for q, v in zip(waa.states, family):
-            if waa.is_recurring(q):
-                if v == INF:
-                    out.add(q)
-            elif v != INF:
-                out.add(q)
-        return frozenset(out)
+        return frozenset(q for q, v in zip(waa.states, family) if accepts(v, waa.is_recurring(q)))
 
     def enumerate_state_space(self, cap: int) -> list[ValueFamily]:
         """All well-formed families; refuses if the bound exceeds ``cap``."""
         bound = self.state_space_bound
         if bound > cap:
             raise StateSpaceCapError(bound, cap)
-        if self._space is None:
-            domains = []
-            for q in self.waa.states:
-                size = self.waa.sccs[self.waa.scc_of(q)].size
-                domains.append(list(range(1, size + 1)) + [INF])
-            self._space = [tuple(f) for f in itertools.product(*domains)]
-        return self._space
+        domains = []
+        for q in self.waa.states:
+            size = self.waa.sccs[self.waa.scc_of(q)].size
+            domains.append(list(range(1, size + 1)) + [INF])
+        return list(itertools.product(*domains))
 
     def format_family(self, family: ValueFamily) -> str:
         parts = []
@@ -236,15 +202,9 @@ def basic_step(waa: WeakAlternatingAutomaton, letter: str, family: ValueFamily) 
         if v not in (1, INF):
             raise ValueError("basic_step expects values in {1, inf}")
 
-    def ev(cond):
-        if isinstance(cond, LetterSet):
-            return 1 if letter in cond.letters else INF
-        if isinstance(cond, NextState):
-            return family[pos[cond.state]]
-        if isinstance(cond, Or):
-            return min(ev(cond.left), ev(cond.right))
-        if isinstance(cond, And):
-            return max(ev(cond.left), ev(cond.right))
-        raise TypeError(f"not a condition: {cond!r}")
+    def atom(c):
+        if isinstance(c, LetterSet):
+            return 1 if letter in c.letters else INF
+        return family[pos[c.state]]
 
-    return tuple(ev(waa.delta[q]) for q in waa.states)
+    return tuple(fold(waa.delta[q], atom, min, max) for q in waa.states)

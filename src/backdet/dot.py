@@ -5,7 +5,7 @@ from __future__ import annotations
 from .automata import WeakAlternatingAutomaton
 from .construction import BackwardDetAutomaton
 from .formats import format_condition
-from .lasso import LassoWord, _functional_graph_cycles, _period_step
+from .lasso import LassoWord, _final_candidates
 
 
 def _dot_escape(text: str) -> str:
@@ -41,24 +41,25 @@ def waa_to_dot(waa: WeakAlternatingAutomaton) -> str:
 def period_graph_to_dot(bda: BackwardDetAutomaton, w: LassoWord, cap: int = 1 << 10) -> str:
     """Functional graph of the one-period backward composition, with the
     cycles highlighted.  Only usable when the state space fits the cap."""
-    nodes = bda.enumerate_state_space(cap)
 
-    def h(f):
-        return _period_step(bda, w, f)[0]
+    def period(family):
+        for i in range(w.positions - 1, w.loop_start - 1, -1):
+            family = bda.step(w.letter(i), family).result
+        return family, ()
 
-    cycle_nodes = set()
-    for cyc in _functional_graph_cycles(h, nodes):
-        cycle_nodes.update(cyc)
+    # with no index required, every h-cycle is final
+    cycle_nodes, image, _ = _final_candidates(bda.enumerate_state_space(cap), period, set())
+    cycle_nodes = set(cycle_nodes)
 
     def node_id(f):
         return _dot_escape(bda.format_family(f))
 
     lines = ["digraph period {", "  node [shape=box, fontsize=10];"]
-    for f in nodes:
+    for f, h_f in image.items():
         attrs = ""
         if f in cycle_nodes:
             attrs = ' [style=filled, fillcolor="#c6e2ff"]'
         lines.append(f'  "{node_id(f)}"{attrs};')
-        lines.append(f'  "{node_id(f)}" -> "{node_id(h(f))}";')
+        lines.append(f'  "{node_id(f)}" -> "{node_id(h_f)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

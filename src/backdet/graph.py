@@ -73,6 +73,25 @@ def is_cyclic(comp, succ) -> bool:
     return len(comp) > 1 or comp[0] in succ[comp[0]]
 
 
+def functional_cycles(image) -> list[list]:
+    """Cycles of the functional graph v -> image[v], whose nodes are the keys
+    of ``image``; every image must itself be a key.  Starts are tried in key
+    order, and each cycle is listed once, from the first of its nodes the
+    search reaches, every node followed by its image."""
+    seen = {}  # node -> the start whose walk reached it first
+    cycles = []
+    for start in image:
+        path = []
+        v = start
+        while v not in seen:
+            seen[v] = start
+            path.append(v)
+            v = image[v]
+        if seen[v] == start:
+            cycles.append(path[path.index(v):])
+    return cycles
+
+
 def reaches(nodes, succ, targets) -> set:
     """Nodes with a path, possibly empty, to one of ``targets``; found by a
     search over the reversed edges, linear in the size of the graph."""

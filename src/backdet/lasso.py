@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import graph
 from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton
-from .construction import INF, BackwardDetAutomaton, TransitionRecord, norm
+from .construction import INF, BackwardDetAutomaton, TransitionRecord, accepts
 from .errors import MultipleFinalRunsError, NoFinalRunError, SemanticError
 
 DEFAULT_ENUMERATION_CAP = 1 << 16
@@ -127,60 +128,40 @@ class BackwardRun:
         return [bda.output(f) for f in self.families]
 
 
-def _period_step(bda, w, family):
-    """One backward pass over the period: family at the next period boundary
-    in, family at this boundary out, with the records of the |v| steps."""
-    records = []
-    cur = family
-    for i in range(w.positions - 1, w.loop_start - 1, -1):
-        rec = bda.step(w.letter(i), cur)
-        records.append(rec)
-        cur = rec.result
-    return cur, records
+def _final_candidates(starts, period, need):
+    """One period from every start, and the starts on final h-cycles.
 
-
-def _functional_graph_cycles(h, nodes):
-    """All cycles of the functional graph f -> h(f) restricted to ``nodes``."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(nodes, WHITE)
-    cycles = []
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        path = []
-        pos_in_path = {}
-        v = start
-        while True:
-            if color.get(v, BLACK) == BLACK:
-                break
-            if color[v] == GRAY:
-                cycles.append(path[pos_in_path[v]:])
-                break
-            color[v] = GRAY
-            pos_in_path[v] = len(path)
-            path.append(v)
-            v = h(v)
-        for u in path:
-            color[u] = BLACK
-    return cycles
+    ``period(start)`` maps a value at a period boundary to its image under h,
+    the value one period earlier, and to the Buchi indices fired on the way.
+    Returns the starts on the h-cycles that fire every index in ``need``
+    (each rotation of a final cycle is a distinct candidate run), the image
+    of every start, and the h-cycles.
+    """
+    image, fired = {}, {}
+    for start in starts:
+        image[start], fired[start] = period(start)
+    cycles = graph.functional_cycles(image)
+    finals = [f for cyc in cycles if set().union(*map(fired.__getitem__, cyc)) >= need for f in cyc]
+    return finals, image, cycles
 
 
 def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     """Compute the unique final run on a lasso, SCC by SCC.
 
-    An SCC's next values read only its own values and the normalized values
-    of lower SCCs, so the SCCs are settled successors first, each by an
+    An SCC's next values read only its own values and whether the states of
+    lower SCCs accept, so the SCCs are settled successors first, each by an
     exhaustive search of its own (m+1)^m values.  For SCC s, h composes the
     per-SCC step (:meth:`BackwardDetAutomaton.scc_step`) over one period,
     reading the settled lower SCCs' values, and maps s's values at a period
     boundary to its values one period earlier.  An infinite backward run
     pins the boundary values to an infinite chain of h-preimages, which on a
     finite function graph only exists along cycles of h, so enumerating the
-    h-cycles finds every candidate.  A cycle of length k yields k candidates
-    (one per rotation); a candidate is final iff every Buchi index of s in
-    ``bda.buchi_indices`` fires within the cycle.  Exactly one candidate per
-    SCC may pass: none raises :class:`NoFinalRunError`, more than one
-    :class:`MultipleFinalRunsError`, both naming the word and the SCC.
+    h-cycles finds every candidate (:func:`_final_candidates`).  A cycle of
+    length k yields k candidates (one per rotation); a candidate is final
+    iff every Buchi index of s in ``bda.buchi_indices`` fires within the
+    cycle.  Exactly one candidate per SCC may pass: none raises
+    :class:`NoFinalRunError`, more than one :class:`MultipleFinalRunsError`,
+    both naming the word and the SCC.
 
     The cost is a sum over SCCs of (m+1)^m * |v| memoized per-SCC steps,
     not a product; :func:`count_final_candidates` is the product-space
@@ -190,7 +171,7 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     n, loop = w.positions, w.loop_start
     letters = [w.letter(i) for i in range(n)]
     succ = [w.succ(i) for i in range(n)]
-    period = range(n - 1, loop - 1, -1)
+    period_positions = range(n - 1, loop - 1, -1)
     pos = bda.state_pos
     families = [[None] * len(waa.states) for _ in range(n)]
     fired = [set() for _ in range(n)]
@@ -199,28 +180,23 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     for index in bda.buchi_indices:
         need.setdefault(index[0], set()).add(index)
     for s, scc in enumerate(waa.sccs):
-        outside = [pos[q] for q in bda.outside_states[s]]
-        # the outside values the step into position i reads, at succ(i)
-        reads = [tuple(norm(families[succ[i]][p]) for p in outside) for i in range(n)]
+        outside = [(pos[q], waa.is_recurring(q)) for q in bda.outside_states[s]]
+        # whether each outside state accepts at succ(i), read by the step
+        # into position i
+        reads = [tuple(accepts(families[succ[i]][p], r) for p, r in outside) for i in range(n)]
 
         def step(i, own):
             return bda.scc_step(s, letters[i], own, reads[i])
 
-        # one period from each of the (m+1)^m boundary values: its image
-        # under h and the Buchi indices fired on the way
-        image, fired_on = {}, {}
-        for start in itertools.product([*range(1, scc.size + 1), INF], repeat=scc.size):
-            own, got = start, set()
-            for i in period:
+        def period(own):
+            got = set()
+            for i in period_positions:
                 own, scc_fired, _ = step(i, own)
                 got |= scc_fired
-            image[start], fired_on[start] = own, got
-        cycles = _functional_graph_cycles(image.__getitem__, image)
-        finals = []
-        for cyc in cycles:
-            if set().union(*map(fired_on.__getitem__, cyc)) >= need.get(s, set()):
-                # each rotation of a final cycle is a distinct final run
-                finals.extend(cyc)
+            return own, got
+
+        starts = itertools.product([*range(1, scc.size + 1), INF], repeat=scc.size)
+        finals, _, cycles = _final_candidates(starts, period, need.get(s, set()))
         if not finals:
             raise NoFinalRunError(
                 f"no final run on {w}: SCC {s} has no final candidate "
@@ -267,19 +243,15 @@ def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:
 def _final_boundaries(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> list:
     """The loop-start family of every final candidate in the product space."""
 
-    def h(f):
-        return _period_step(bda, w, f)[0]
-
-    need = set(bda.buchi_indices)
-    finals = []
-    for cyc in _functional_graph_cycles(h, bda.enumerate_state_space(cap)):
+    def period(family):
         fired = set()
-        for f in cyc:
-            for rec in _period_step(bda, w, f)[1]:
-                fired |= rec.fired
-        if fired >= need:
-            finals.extend(cyc)
-    return finals
+        for i in range(w.positions - 1, w.loop_start - 1, -1):
+            rec = bda.step(w.letter(i), family)
+            family = rec.result
+            fired |= rec.fired
+        return family, fired
+
+    return _final_candidates(bda.enumerate_state_space(cap), period, set(bda.buchi_indices))[0]
 
 
 @dataclass
@@ -315,7 +287,7 @@ def cross_validate(waa: WeakAlternatingAutomaton, w: LassoWord, bda=None, run=No
     return ValidationReport(not mismatches, mismatches)
 
 
-def language_member(automaton, w: LassoWord, bda: BackwardDetAutomaton | None = None) -> bool:
+def language_member(automaton, w: LassoWord) -> bool:
     """Membership from the declared initial set.
 
     For a weak alternating automaton: some initial state accepts at

@@ -94,18 +94,16 @@ class QuotientRunDag:
     """Quotient run DAG with peeling results.
 
     ``ranks`` maps each (position, state) vertex to its canonical rank (a
-    natural number below twice the state count, or INF); the flag sets
-    record the classification of the unpeeled graph.
+    natural number below twice the state count, or INF); ``b_recurring``
+    holds the vertices of rank INF, those that reach a cycle through a
+    Buchi vertex.
     """
 
     word: LassoWord
     succ: dict
-    finitary: set
-    b_free: set
     b_recurring: set
     ranks: dict
     rounds: int
-    ultimate_width: int = 0
 
 
 def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
@@ -121,12 +119,7 @@ def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
         tagged = {v for v in alive if v[1] in nba.buchi}
         return alive - graph.reaches(alive, _restrict(succ, alive), tagged)
 
-    def b_recurring_in(alive):
-        return _reaches_cycle(alive, _restrict(succ, alive), nba.buchi)
-
-    finitary = finitary_in(vertices)
-    b_free = b_free_in(vertices)
-    b_recurring = b_recurring_in(vertices)
+    b_recurring = _reaches_cycle(vertices, succ, nba.buchi)
 
     ranks = {}
     alive = set(vertices)
@@ -147,13 +140,7 @@ def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
         ranks[v] = INF
     assert rounds <= len(nba.states), "peeling must terminate within n rounds"
     assert alive == b_recurring, "peeling residue must be the Buchi-recurring vertices"
-
-    infinitary = vertices - finitary
-    width = min(
-        sum(1 for q in nba.states if (i, q) in infinitary and (i, q) not in b_recurring)
-        for i in range(w.loop_start, w.positions)
-    )
-    return QuotientRunDag(w, succ, finitary, b_free, b_recurring, ranks, rounds, width)
+    return QuotientRunDag(w, succ, b_recurring, ranks, rounds)
 
 
 @dataclass

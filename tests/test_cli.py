@@ -8,6 +8,10 @@ from backdet.nutl import parse_nutl
 from backdet.automata import Alphabet
 
 
+# one SCC {q0, q1} with mixed polarity
+NON_WEAK = "alphabet: a\nstates: q0 q1\nrecurring: q0\ndelta q0 = X q1\ndelta q1 = X q0\n"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -46,12 +50,20 @@ def test_waa2bda_cap_exceeded(tmp_path, capsys):
 
 def test_waa2bda_rejects_non_weak(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text(
-        "alphabet: a\nstates: q0 q1\nrecurring: q0\n"
-        "delta q0 = X q1\ndelta q1 = X q0\n"
-    )
+    bad.write_text(NON_WEAK)
     code, _, err = run_cli(capsys, "waa2bda", str(bad))
     assert code == cli.EXIT_SEMANTIC
+
+
+@pytest.mark.parametrize("argv", [("run",), ("dot", "--lasso")])
+def test_run_and_dot_reject_non_weak(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(NON_WEAK)
+    # the lasso's letter is outside the alphabet: weakness is checked first
+    command, *flag = argv
+    code, _, err = run_cli(capsys, command, str(bad), *flag, "; z")
+    assert code == cli.EXIT_SEMANTIC
+    assert "not weak" in err
 
 
 def test_run_reports_outputs_and_oracle(tmp_path, capsys):

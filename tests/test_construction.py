@@ -83,11 +83,6 @@ def test_step_range_and_order_preserved():
                 assert v == INF or 1 <= v <= size
 
 
-def test_step_is_memoized():
-    bda = BackwardDetAutomaton(eventually_a())
-    assert bda.step("a", (INF,)) is bda.step("a", (INF,))
-
-
 def test_output_function():
     delta = {
         "n": Or(LetterSet({"a"}), NextState("n")),

@@ -80,3 +80,33 @@ def test_reaches_and_path_match_closure(g, data):
         assert found[0] == src and found[-1] == dst
         assert all(b in succ[a] for a, b in zip(found, found[1:]))
         assert len(set(found)) == len(found)
+
+
+@st.composite
+def functions(draw):
+    """Random total functions on up to 40 tuple-valued nodes, keyed in a
+    shuffled order."""
+    n = draw(st.integers(1, 40))
+    nodes = draw(st.permutations([("v", k) for k in range(n)]))
+    images = draw(st.lists(st.sampled_from(nodes), min_size=n, max_size=n))
+    return dict(zip(nodes, images))
+
+
+@FIXED
+@given(functions())
+def test_functional_cycles_are_the_periodic_nodes(image):
+    cycles = graph.functional_cycles(image)
+    listed = [v for cyc in cycles for v in cyc]
+    assert len(listed) == len(set(listed))
+    for cyc in cycles:
+        for v, w in zip(cyc, cyc[1:] + cyc[:1]):
+            assert image[v] == w
+    periodic = set()
+    for v in image:
+        u = v
+        for _ in range(len(image)):
+            u = image[u]
+            if u == v:
+                periodic.add(v)
+                break
+    assert set(listed) == periodic

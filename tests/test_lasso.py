@@ -4,7 +4,9 @@ import pytest
 
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
+from backdet.dot import period_graph_to_dot
 from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
+from backdet.formats import format_bda
 from backdet.lasso import (
     DEFAULT_ENUMERATION_CAP,
     LassoWord,
@@ -227,16 +229,45 @@ def _random_lasso(rng, u_max, v_max):
 
 
 def test_step_memo_stays_within_its_bound():
-    # many lassos on one long-lived automaton: each SCC's memo holds at
-    # most |alphabet| * (m+1)^m * 2^(outside states read) entries, and the
-    # per-family memo of step() is never filled by answers
+    # many lassos on one long-lived automaton, through every path that
+    # steps it (final runs, the product-space reference, the transition
+    # table, the period graph): each SCC's memo holds at most
+    # |alphabet| * (m+1)^m * 2^(outside states read) entries, and it is the
+    # only memo the automaton keeps
     rng = random.Random(5)
-    nba = random_nba(rng, AB, 2)
-    res = nba_to_bda(nba)
-    bda = res.bda
+    while True:
+        bda = BackwardDetAutomaton(random_waa(rng, AB, 5))
+        sccs = bda.waa.sccs
+        if bda.state_space_bound <= 1 << 10 and max(scc.size for scc in sccs) > 1 and any(bda.outside_states):
+            break
     for _ in range(400):
         bda_final_run(bda, _random_lasso(rng, 6, 8))
-    for s, scc in enumerate(res.waa.sccs):
+    for _ in range(20):
+        w = _random_lasso(rng, 3, 4)
+        assert count_final_candidates(bda, w) == 1
+        assert period_graph_to_dot(bda, w).startswith("digraph period")
+    assert f"families: {bda.state_space_bound}" in format_bda(bda, 1 << 10)
+    for s, scc in enumerate(sccs):
         bound = len(AB) * (scc.size + 1) ** scc.size * 2 ** len(bda.outside_states[s])
-        assert len(bda.scc_memo[s]) <= bound
-    assert not bda._cache
+        assert 0 < len(bda.scc_memo[s]) <= bound
+    assert set(vars(bda)) == {"waa", "state_pos", "buchi_indices", "outside_states", "scc_memo"}
+
+
+def test_final_runs_of_random_weak_automata_match_the_oracle():
+    # random weak automata of both polarities, SCCs of up to 4 states, on
+    # every lasso |u| <= 2, |v| <= 2: the outputs equal the WAA oracle's
+    rng = random.Random(6)
+    lassos = list(exhaustive_lassos(AB, 2, 2))
+    polarities = set()
+    automata = 0
+    while automata < 150:
+        waa = random_waa(rng, AB, rng.randint(1, 5))
+        if max(scc.size for scc in waa.sccs) > 4:
+            continue
+        automata += 1
+        polarities |= {scc.recurring for scc in waa.sccs}
+        bda = BackwardDetAutomaton(waa)
+        for w in lassos:
+            report = cross_validate(waa, w, bda)
+            assert report.ok, report.mismatches
+    assert polarities == {True, False}
