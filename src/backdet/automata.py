@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import graph
+from .node import Node, subterms
 
 
 @dataclass(frozen=True)
@@ -36,58 +37,36 @@ class Alphabet:
         return len(self.letters)
 
 
-class Condition:
+class Condition(Node):
     """Base class for transition-condition nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LetterSet(Condition):
-    letters: frozenset
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", frozenset(self.letters))
+    @staticmethod
+    def _check(letters):
+        return (frozenset(letters),)
 
 
-@dataclass(frozen=True)
 class NextState(Condition):
-    state: str
+    __slots__ = ("state",)
 
 
-@dataclass(frozen=True)
 class Or(Condition):
-    left: Condition
-    right: Condition
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(Condition):
-    left: Condition
-    right: Condition
+    __slots__ = ("left", "right")
 
 
 def condition_subformulas(cond: Condition) -> list[Condition]:
-    """All subformula nodes of a condition, children before parents.
-
-    A node shared within the tree is listed once.  Nodes are told apart by
-    identity, because hashing a frozen condition node walks its whole
-    subtree.
-    """
-    seen = set()
-    out = []
-
-    def walk(c):
-        if id(c) in seen:
-            return
-        if isinstance(c, (Or, And)):
-            walk(c.left)
-            walk(c.right)
-        seen.add(id(c))
-        out.append(c)
-
-    walk(cond)
-    return out
+    """All distinct subformula nodes of a condition, children before
+    parents; a node shared within the condition is listed once."""
+    return subterms([cond], children_first=True)
 
 
 def condition_states(cond: Condition) -> set:

@@ -53,6 +53,14 @@ class TokenCursor:
         self.i += 1
         return tok
 
+    def chain(self, op: str, operand, make):
+        """``operand (op operand)*``, grouped to the left by ``make``."""
+        f = operand()
+        while self.peek() == op:
+            self.take()
+            f = make(f, operand())
+        return f
+
     def end(self):
         """Reject tokens left over after a complete parse."""
         if self.peek() is not None:

@@ -53,18 +53,10 @@ class _CondParser(TokenCursor):
         return c
 
     def parse_or(self):
-        c = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            c = Or(c, self.parse_and())
-        return c
+        return self.chain("|", self.parse_and, Or)
 
     def parse_and(self):
-        c = self.parse_atom()
-        while self.peek() == "&":
-            self.take()
-            c = And(c, self.parse_atom())
-        return c
+        return self.chain("&", self.parse_atom, And)
 
     def parse_atom(self):
         at = self.pos()

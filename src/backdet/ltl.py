@@ -7,66 +7,54 @@ alternating automaton with one state per distinct subformula.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 
 from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
 from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
+from .node import Node, subterms
 
 
-class LtlFormula:
+class LtlFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Letter(LtlFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class NegLetter(LtlFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Or(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Next(LtlFormula):
-    operand: LtlFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Eventually(LtlFormula):
-    operand: LtlFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Always(LtlFormula):
-    operand: LtlFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Until(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Release(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = ("left", "right")
 
 
 _TOKEN = re.compile(r"[()!&|]|[A-Za-z_][A-Za-z0-9_]*")
@@ -88,18 +76,10 @@ class _LtlParser(TokenCursor):
         return f
 
     def parse_or(self):
-        f = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.parse_and())
-        return f
+        return self.chain("|", self.parse_and, Or)
 
     def parse_and(self):
-        f = self.parse_binary_temporal()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.parse_binary_temporal())
-        return f
+        return self.chain("&", self.parse_binary_temporal, And)
 
     def parse_binary_temporal(self):
         f = self.parse_unary()
@@ -171,22 +151,7 @@ def format_ltl(f: LtlFormula) -> str:
 
 def subformulas(f: LtlFormula) -> list[LtlFormula]:
     """Distinct subformulas, children before parents."""
-    seen = set()
-    out = []
-
-    def walk(g):
-        if g in seen:
-            return
-        if isinstance(g, (Or, And, Until, Release)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Next, Eventually, Always)):
-            walk(g.operand)
-        seen.add(g)
-        out.append(g)
-
-    walk(f)
-    return out
+    return subterms([f], children_first=True)
 
 
 def negate(f: LtlFormula) -> LtlFormula:
@@ -243,34 +208,27 @@ def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
         used.add(name)
         names[g] = name
 
-    cond = {}
-
+    @functools.cache
     def build(g):
-        c = cond.get(g)
-        if c is not None:
-            return c
         if isinstance(g, Letter):
-            c = LetterSet(frozenset({g.name}))
-        elif isinstance(g, NegLetter):
-            c = LetterSet(frozenset(alphabet.letters) - {g.name})
-        elif isinstance(g, Or):
-            c = COr(build(g.left), build(g.right))
-        elif isinstance(g, And):
-            c = CAnd(build(g.left), build(g.right))
-        elif isinstance(g, Next):
-            c = NextState(names[g.operand])
-        elif isinstance(g, Eventually):
-            c = COr(build(g.operand), NextState(names[g]))
-        elif isinstance(g, Always):
-            c = CAnd(build(g.operand), NextState(names[g]))
-        elif isinstance(g, Until):
-            c = COr(build(g.right), CAnd(build(g.left), NextState(names[g])))
-        elif isinstance(g, Release):
-            c = CAnd(build(g.right), COr(build(g.left), NextState(names[g])))
-        else:
-            raise TypeError(f"not an LTL formula: {g!r}")
-        cond[g] = c
-        return c
+            return LetterSet(frozenset({g.name}))
+        if isinstance(g, NegLetter):
+            return LetterSet(frozenset(alphabet.letters) - {g.name})
+        if isinstance(g, Or):
+            return COr(build(g.left), build(g.right))
+        if isinstance(g, And):
+            return CAnd(build(g.left), build(g.right))
+        if isinstance(g, Next):
+            return NextState(names[g.operand])
+        if isinstance(g, Eventually):
+            return COr(build(g.operand), NextState(names[g]))
+        if isinstance(g, Always):
+            return CAnd(build(g.operand), NextState(names[g]))
+        if isinstance(g, Until):
+            return COr(build(g.right), CAnd(build(g.left), NextState(names[g])))
+        if isinstance(g, Release):
+            return CAnd(build(g.right), COr(build(g.left), NextState(names[g])))
+        raise TypeError(f"not an LTL formula: {g!r}")
 
     delta = {names[g]: build(g) for g in subs}
     recurring = {names[g] for g in subs if isinstance(g, (Always, Release))}
@@ -289,31 +247,25 @@ def ltl_eval_lasso(phi: LtlFormula, w: LassoWord, i: int) -> bool:
 def ltl_truth_vector(phi: LtlFormula, w: LassoWord) -> list[bool]:
     """Truth of phi at every quotient position."""
     npos = w.positions
-    cache = {}
 
+    @functools.cache
     def vec(f):
-        v = cache.get(f)
-        if v is not None:
-            return v
         if isinstance(f, Letter):
-            v = [w.letter(i) == f.name for i in range(npos)]
-        elif isinstance(f, NegLetter):
-            v = [w.letter(i) != f.name for i in range(npos)]
-        elif isinstance(f, Or):
+            return [w.letter(i) == f.name for i in range(npos)]
+        if isinstance(f, NegLetter):
+            return [w.letter(i) != f.name for i in range(npos)]
+        if isinstance(f, Or):
             a, b = vec(f.left), vec(f.right)
-            v = [x or y for x, y in zip(a, b)]
-        elif isinstance(f, And):
+            return [x or y for x, y in zip(a, b)]
+        if isinstance(f, And):
             a, b = vec(f.left), vec(f.right)
-            v = [x and y for x, y in zip(a, b)]
-        elif isinstance(f, Next):
+            return [x and y for x, y in zip(a, b)]
+        if isinstance(f, Next):
             a = vec(f.operand)
-            v = [a[w.succ(i)] for i in range(npos)]
-        elif isinstance(f, (Eventually, Always, Until, Release)):
-            v = _fixpoint_vector(f, vec, w)
-        else:
-            raise TypeError(f"not an LTL formula: {f!r}")
-        cache[f] = v
-        return v
+            return [a[w.succ(i)] for i in range(npos)]
+        if isinstance(f, (Eventually, Always, Until, Release)):
+            return _fixpoint_vector(f, vec, w)
+        raise TypeError(f"not an LTL formula: {f!r}")
 
     return vec(phi)
 

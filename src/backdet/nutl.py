@@ -4,10 +4,13 @@ Formulas are built from letters, negated letters, variables, a next-step
 operator, boolean connectives, and vectorial least/greatest fixed points
 ``mu_i (X0,...,Xr-1).(phi0; ...; phir-1)`` selecting component i.
 
-Structurally identical subformulas are shared, so a variable may appear
-bound by several fix nodes as long as they agree on the variable vector and
-the bodies (they may differ in the selected component).  This keeps the
-rank-formula tables compact: each vector level binds its variables once.
+Nodes are hash-consed (:mod:`backdet.node`): structurally identical
+subformulas are one object, and equality is identity.  A variable may
+appear bound by several fix nodes as long as they agree on the variable
+vector and the bodies (they may differ in the selected component).  This
+keeps the rank-formula tables compact: each vector level binds its
+variables once, and a table is a DAG whose distinct nodes grow linearly
+with its levels, though its printed text grows exponentially.
 
 Cycles are detected on the dependence graph closed under an edge from each
 variable occurrence to the body it selects in its binder; guardedness
@@ -17,6 +20,7 @@ cycles through variables of both a least and a greatest fixed point.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -25,63 +29,54 @@ from . import graph
 from .cursor import TokenCursor
 from .errors import FormatError, SemanticError
 from .lasso import LassoWord
+from .node import Node, subterms
 
 MU = "mu"
 NU = "nu"
 
 
-class NutlFormula:
+class NutlFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Letter(NutlFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class NegLetter(NutlFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Var(NutlFormula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Next(NutlFormula):
-    operand: NutlFormula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Or(NutlFormula):
-    left: NutlFormula
-    right: NutlFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(NutlFormula):
-    left: NutlFormula
-    right: NutlFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Fix(NutlFormula):
-    kind: str
-    index: int
-    vars: tuple[str, ...]
-    bodies: tuple[NutlFormula, ...]
+    __slots__ = ("kind", "index", "vars", "bodies")
 
-    def __post_init__(self):
-        if self.kind not in (MU, NU):
+    @staticmethod
+    def _check(kind, index, vars, bodies):
+        if kind not in (MU, NU):
             raise ValueError(f"fix kind must be '{MU}' or '{NU}'")
-        if len(self.vars) != len(self.bodies):
+        if len(vars) != len(bodies):
             raise ValueError("variable vector and body vector differ in length")
-        if len(set(self.vars)) != len(self.vars):
+        if len(set(vars)) != len(vars):
             raise ValueError("fix variables must be distinct")
-        if not 0 <= self.index < len(self.vars):
-            raise ValueError(f"fix index {self.index} out of range")
+        if not 0 <= index < len(vars):
+            raise ValueError(f"fix index {index} out of range")
+        return kind, index, vars, bodies
 
 
 _FIX_NAME = re.compile(r"^(mu|nu)_(\d+)$")
@@ -99,18 +94,10 @@ class _NutlParser(TokenCursor):
         return f
 
     def parse_or(self):
-        f = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.parse_and())
-        return f
+        return self.chain("|", self.parse_and, Or)
 
     def parse_and(self):
-        f = self.parse_atom()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.parse_atom())
-        return f
+        return self.chain("&", self.parse_atom, And)
 
     def parse_atom(self):
         tok = self.peek()
@@ -139,6 +126,7 @@ class _NutlParser(TokenCursor):
         return Var(tok)
 
     def parse_fix(self, kind, index):
+        at = self.pos()
         self.take()
         self.take("(")
         names = [self.take()]
@@ -155,9 +143,13 @@ class _NutlParser(TokenCursor):
         self.take(")")
         for name in names:
             if name in self.alphabet:
-                raise FormatError(f"variable {name!r} clashes with an alphabet letter")
+                raise FormatError(f"variable {name!r} clashes with an alphabet letter", at)
         if index >= len(names):
-            raise FormatError(f"fix index {index} out of range for {len(names)} variables")
+            raise FormatError(f"fix index {index} out of range for {len(names)} variables", at)
+        if len(set(names)) != len(names):
+            raise FormatError("fix variables must be distinct", at)
+        if len(bodies) != len(names):
+            raise FormatError(f"{len(names)} fix variables but {len(bodies)} bodies", at)
         return Fix(kind, index, tuple(names), tuple(bodies))
 
 
@@ -184,34 +176,9 @@ def format_nutl(f: NutlFormula) -> str:
     raise TypeError(f"not a nutl formula: {f!r}")
 
 
-def _children(f):
-    if isinstance(f, Next):
-        return (f.operand,)
-    if isinstance(f, (Or, And)):
-        return (f.left, f.right)
-    if isinstance(f, Fix):
-        return f.bodies
-    return ()
-
-
 def subformulas(roots) -> list[NutlFormula]:
     """Distinct subformula nodes of one formula or a tuple, preorder."""
-    if isinstance(roots, NutlFormula):
-        roots = [roots]
-    seen = set()
-    out = []
-
-    def walk(f):
-        if f in seen:
-            return
-        seen.add(f)
-        out.append(f)
-        for c in _children(f):
-            walk(c)
-
-    for r in roots:
-        walk(r)
-    return out
+    return subterms([roots] if isinstance(roots, NutlFormula) else roots)
 
 
 def free_vars(f: NutlFormula, _cache=None) -> frozenset:
@@ -225,9 +192,7 @@ def free_vars(f: NutlFormula, _cache=None) -> frozenset:
     elif isinstance(f, Fix):
         result = frozenset().union(*(free_vars(b, _cache) for b in f.bodies)) - set(f.vars)
     else:
-        result = frozenset().union(
-            *(free_vars(c, _cache) for c in _children(f))
-        ) if _children(f) else frozenset()
+        result = frozenset().union(*(free_vars(c, _cache) for c in f.children))
     _cache[f] = result
     return result
 
@@ -278,7 +243,7 @@ def _analyse(roots) -> _Analysis:
             fix, j = binders[f.name]
             succ[f] = [fix.bodies[j]]
         else:
-            succ[f] = list(_children(f))
+            succ[f] = list(f.children)
     return _Analysis(nodes, succ, binders, graph.sccs(nodes, succ))
 
 
@@ -359,31 +324,25 @@ def _condition_builder(binders, alphabet, state_of):
     """Transition condition of a subformula: letters are tested at the
     current position, a fix node or variable unfolds to the body it
     selects, and a next-step operand f becomes the state ``state_of(f)``."""
-    cache = {}
 
+    @functools.cache
     def build(f):
-        c = cache.get(f)
-        if c is not None:
-            return c
         if isinstance(f, Letter):
-            c = LetterSet(frozenset({f.name}))
-        elif isinstance(f, NegLetter):
-            c = LetterSet(frozenset(alphabet.letters) - {f.name})
-        elif isinstance(f, Next):
-            c = NextState(state_of(f.operand))
-        elif isinstance(f, Or):
-            c = COr(build(f.left), build(f.right))
-        elif isinstance(f, And):
-            c = CAnd(build(f.left), build(f.right))
-        elif isinstance(f, Fix):
-            c = build(f.bodies[f.index])
-        elif isinstance(f, Var):
+            return LetterSet(frozenset({f.name}))
+        if isinstance(f, NegLetter):
+            return LetterSet(frozenset(alphabet.letters) - {f.name})
+        if isinstance(f, Next):
+            return NextState(state_of(f.operand))
+        if isinstance(f, Or):
+            return COr(build(f.left), build(f.right))
+        if isinstance(f, And):
+            return CAnd(build(f.left), build(f.right))
+        if isinstance(f, Fix):
+            return build(f.bodies[f.index])
+        if isinstance(f, Var):
             fix, j = binders[f.name]
-            c = build(fix.bodies[j])
-        else:
-            raise TypeError(f"not a nutl formula: {f!r}")
-        cache[f] = c
-        return c
+            return build(fix.bodies[j])
+        raise TypeError(f"not a nutl formula: {f!r}")
 
     return build
 
@@ -461,23 +420,29 @@ def _alphabet_of(nodes) -> Alphabet:
 
 
 def dual_nutl(f: NutlFormula) -> NutlFormula:
-    """De Morgan dual: complements the defined language; an involution."""
-    if isinstance(f, Letter):
-        return NegLetter(f.name)
-    if isinstance(f, NegLetter):
-        return Letter(f.name)
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, Next):
-        return Next(dual_nutl(f.operand))
-    if isinstance(f, Or):
-        return And(dual_nutl(f.left), dual_nutl(f.right))
-    if isinstance(f, And):
-        return Or(dual_nutl(f.left), dual_nutl(f.right))
-    if isinstance(f, Fix):
-        kind = NU if f.kind == MU else MU
-        return Fix(kind, f.index, f.vars, tuple(dual_nutl(b) for b in f.bodies))
-    raise TypeError(f"not a nutl formula: {f!r}")
+    """De Morgan dual: complements the defined language; an involution.
+    Each distinct subformula is dualized once."""
+
+    @functools.cache
+    def dual(f):
+        if isinstance(f, Letter):
+            return NegLetter(f.name)
+        if isinstance(f, NegLetter):
+            return Letter(f.name)
+        if isinstance(f, Var):
+            return f
+        if isinstance(f, Next):
+            return Next(dual(f.operand))
+        if isinstance(f, Or):
+            return And(dual(f.left), dual(f.right))
+        if isinstance(f, And):
+            return Or(dual(f.left), dual(f.right))
+        if isinstance(f, Fix):
+            kind = NU if f.kind == MU else MU
+            return Fix(kind, f.index, f.vars, tuple(dual(b) for b in f.bodies))
+        raise TypeError(f"not a nutl formula: {f!r}")
+
+    return dual(f)
 
 
 class _Evaluator:

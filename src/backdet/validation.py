@@ -289,6 +289,7 @@ def check_nba(
         n = rng.randint(1, n_max)
         nba = random_nba(rng, alphabet, n)
         table = build_rank_formulas(nba)
+        flat = [f for level in table.chi for f in level]
         pipeline = nba_to_bda(nba) if end_to_end else None
         for w in lassos:
             report.cases += 1
@@ -296,9 +297,12 @@ def check_nba(
             for v, r in dag.ranks.items():
                 if r != INF and not r < 2 * n:
                     report.fail(word=str(w), vertex=v, reason="rank out of range", rank=r)
+            # one evaluation of the whole table: chi level by level, then
+            # the final tuple
+            truth = nutl.nutl_eval_lasso(flat + list(table.final_tuple), w)
             for i in range(2 * n):
                 for j, q in enumerate(nba.states):
-                    chi_val = nutl.nutl_truth_set(table.chi[i][j], w)
+                    chi_val = frozenset(k for k in range(w.positions) if i * n + j in truth[k])
                     expect = frozenset(
                         k for k in range(w.positions) if dag.ranks[(k, q)] <= i
                     )
@@ -306,9 +310,8 @@ def check_nba(
                         report.fail(word=str(w), level=i, state=q,
                                     reason="rank formula disagrees with peeling",
                                     formula_value=sorted(chi_val), peeling=sorted(expect))
-            final_truth = nutl.nutl_eval_lasso(list(table.final_tuple), w)
             for j, q in enumerate(nba.states):
-                if (j in final_truth[0]) != nba_accepts_lasso(nba, w, q, 0):
+                if (len(flat) + j in truth[0]) != nba_accepts_lasso(nba, w, q, 0):
                     report.fail(word=str(w), state=q,
                                 reason="negated top-level formula disagrees with acceptance")
             if pipeline is not None:

@@ -221,6 +221,24 @@ def test_criterion_7_nba_pipeline():
     )
 
 
+def test_nba_pipeline_at_four_states():
+    # criterion 7 at n = 4, where an SCC of 4 states has 625 local values:
+    # language equality on every lasso |u|+|v| <= 3 and the predicted SCC
+    # partition
+    rng = random.Random(4)
+    lassos = list(exhaustive_lassos_total(AB, 3))
+    largest = 0
+    for _ in range(3):
+        nba = random_nba(rng, AB, 4)
+        res = nba_to_bda(nba)
+        assert {frozenset(scc.states) for scc in res.waa.sccs} == predicted_rank_sccs(nba)
+        largest = max(largest, *(scc.size for scc in res.waa.sccs))
+        for w in lassos:
+            got = res.accepting_states(bda_final_run(res.bda, w), 0)
+            assert got == {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}, str(w)
+    assert largest == 4 and len(lassos) == 34
+
+
 def test_criterion_8_quotient_soundness():
     rng = random.Random(41)
     ok = True

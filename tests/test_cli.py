@@ -118,6 +118,15 @@ def test_nutl2waa_unguarded_rejected(tmp_path, capsys):
     assert "guarded" in err
 
 
+@pytest.mark.parametrize("text", ["mu_0 (X,X).(a; b)", "mu_0 (X).(a; b)"])
+def test_nutl2waa_bad_fix_header_is_a_parse_error(tmp_path, capsys, text):
+    src = tmp_path / "phi.txt"
+    src.write_text(text + "\n")
+    code, _, err = run_cli(capsys, "nutl2waa", str(src), "--alphabet", "a", "b")
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("parse error:")
+
+
 def test_dot_output(tmp_path, capsys):
     waa_file = tmp_path / "waa.txt"
     run_cli(capsys, "ltl2waa", "F a", "-o", str(waa_file))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from backdet.automata import Alphabet
@@ -12,7 +14,8 @@ from backdet.nba import (
     nba_to_bda,
     peel_ranks,
 )
-from backdet.nutl import nutl_eval_lasso, nutl_truth_set
+from backdet.nutl import nutl_eval_lasso, nutl_truth_set, subformulas
+from backdet.validation import random_nba
 
 AB = Alphabet(("a", "b"))
 
@@ -162,6 +165,21 @@ def test_pipeline_language():
         got = res.accepting_states(run, 0)
         expect = {q for q in nba.states if nba_accepts_lasso(nba, w, q)}
         assert got == expect, str(w)
+
+
+def test_rank_table_is_a_dag_linear_in_levels():
+    # chi[i] nests chi[i-1], so the table's tree size doubles per level; its
+    # distinct nodes grow by the same count every two levels
+    n = 5
+    nba = random_nba(random.Random(5), AB, n)
+    res = nba_to_bda(nba)
+    chi = res.formulas.chi
+    counts = [len(subformulas([f for level in chi[: i + 1] for f in level])) for i in range(2 * n)]
+    for i in range(3, 2 * n):
+        assert counts[i] - counts[i - 2] == counts[3] - counts[1]
+    # dualizing maps distinct nodes to distinct nodes
+    assert len(subformulas(list(res.formulas.final_tuple))) == counts[-1]
+    assert len(res.waa.states) == 2 * n * n
 
 
 def test_rank_formulas_need_a_state():

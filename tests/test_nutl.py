@@ -47,11 +47,18 @@ def test_parse_resolves_letters_vs_vars():
 
 def test_parse_errors():
     with pytest.raises(FormatError):
-        parse_nutl("mu_2 (X).(a)", AB)  # index out of range
-    with pytest.raises(FormatError):
-        parse_nutl("mu_0 (a).(a)", AB)  # variable clashes with letter
-    with pytest.raises(FormatError):
         parse_nutl("! (a)", AB)
+    # fix-header errors point at the fix token
+    for text in (
+        "mu_2 (X).(a)",  # index out of range
+        "mu_0 (a).(a)",  # variable clashes with letter
+        "mu_0 (X,X).(a; b)",  # repeated variable
+        "mu_0 (X).(a; b)",  # more bodies than variables
+        "mu_0 (X,Y).(a)",  # fewer bodies than variables
+    ):
+        with pytest.raises(FormatError) as e:
+            parse_nutl("a | " + text, AB)
+        assert e.value.position == 4, text
     with pytest.raises(ValueError):
         Fix(MU, 0, ("X", "X"), (Var("X"), Var("X")))
 
