@@ -5,7 +5,7 @@ from __future__ import annotations
 from .automata import WeakAlternatingAutomaton
 from .construction import BackwardDetAutomaton
 from .formats import format_condition
-from .lasso import LassoWord, _final_candidates
+from .lasso import _final_candidates, _period_map
 
 
 def _dot_escape(text: str) -> str:
@@ -38,17 +38,12 @@ def waa_to_dot(waa: WeakAlternatingAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def period_graph_to_dot(bda: BackwardDetAutomaton, w: LassoWord, cap: int = 1 << 10) -> str:
-    """Functional graph of the one-period backward composition, with the
-    cycles highlighted.  Only usable when the state space fits the cap."""
-
-    def period(family):
-        for i in range(w.positions - 1, w.loop_start - 1, -1):
-            family = bda.step(w.letter(i), family).result
-        return family, ()
-
+def period_graph_to_dot(bda: BackwardDetAutomaton, w, cap: int = 1 << 10) -> str:
+    """Functional graph of the one-period backward composition on the lasso
+    ``w``, with the cycles highlighted.  Only usable when the state space
+    fits the cap."""
     # with no index required, every h-cycle is final
-    cycle_nodes, image, _ = _final_candidates(bda.enumerate_state_space(cap), period, set())
+    cycle_nodes, image, _ = _final_candidates(bda.enumerate_state_space(cap), _period_map(bda, w), set())
     cycle_nodes = set(cycle_nodes)
 
     def node_id(f):

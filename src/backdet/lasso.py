@@ -3,6 +3,9 @@
 A lasso word u.v^omega is finitely represented by its prefix and period;
 all per-position questions are answered on the quotient positions
 0 .. |u|+|v|-1, where the successor of the last position wraps back to |u|.
+:class:`LassoWord` owns this quotient rule.  The semantic oracles read it
+through three primitives over position sets held as int bit masks (bit i
+for position i): ``full``, ``mask(letter)`` and ``pre(s)``.
 
 This module contains the two semantic routes that every construction is
 checked against: a fixed-point acceptance oracle evaluated directly on the
@@ -25,22 +28,27 @@ DEFAULT_ENUMERATION_CAP = 1 << 16
 
 @dataclass(frozen=True)
 class LassoWord:
+    """The word prefix.period^omega on its quotient positions.
+
+    ``positions`` is |u|+|v|, ``loop_start`` is |u|, and ``full`` is the
+    mask of all positions.
+    """
+
     prefix: tuple[str, ...]
     period: tuple[str, ...]
 
     def __post_init__(self):
         if not self.period:
             raise ValueError("lasso period must be non-empty")
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "period", tuple(self.period))
-
-    @property
-    def positions(self) -> int:
-        return len(self.prefix) + len(self.period)
-
-    @property
-    def loop_start(self) -> int:
-        return len(self.prefix)
+        prefix, period = tuple(self.prefix), tuple(self.period)
+        masks = {}
+        for i, a in enumerate(prefix + period):
+            masks[a] = masks.get(a, 0) | 1 << i
+        n = len(prefix) + len(period)
+        fields = {"prefix": prefix, "period": period, "positions": n,
+                  "loop_start": len(prefix), "full": (1 << n) - 1, "_masks": masks}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def letter(self, i: int) -> str:
         if i < len(self.prefix):
@@ -49,6 +57,15 @@ class LassoWord:
 
     def succ(self, i: int) -> int:
         return i + 1 if i + 1 < self.positions else self.loop_start
+
+    def mask(self, letter: str) -> int:
+        """The positions that carry ``letter``."""
+        return self._masks.get(letter, 0)
+
+    def pre(self, s: int) -> int:
+        """The positions whose successor is in ``s``: every bit moves down
+        one place, and the bit of the loop start wraps to the last position."""
+        return (s >> 1) | ((s >> self.loop_start) & 1) << (self.positions - 1)
 
     def unrolled(self, copies: int) -> "LassoWord":
         """Same word with the period repeated ``copies`` times."""
@@ -61,44 +78,48 @@ class LassoWord:
 def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> dict:
     """(position, state) -> accepted, for all quotient positions and states.
 
-    Evaluated SCC by SCC in topological order (successors first): boolean
-    least fixed point for non-recurring components, greatest fixed point for
-    recurring ones, reading letters at the current position and values of
-    already-settled components at the successor position.
+    Each state holds a position mask.  The SCCs are evaluated in topological
+    order (successors first): a non-recurring SCC's masks start empty and
+    rise to the least fixed point, a recurring SCC's start full and fall to
+    the greatest.  A condition reads letters at the current position and
+    states at the successor position (``w.pre``); the states of lower SCCs
+    are settled by then.
     """
-    npos = w.positions
+    full, pre = w.full, w.pre
+    val = {}
+
+    def ev(cond):
+        if isinstance(cond, LetterSet):
+            got = 0
+            for a in cond.letters:
+                got |= w.mask(a)
+            return got
+        if isinstance(cond, NextState):
+            return pre(val[cond.state])
+        if isinstance(cond, Or):
+            left = ev(cond.left)
+            return left if left == full else left | ev(cond.right)
+        if isinstance(cond, And):
+            left = ev(cond.left)
+            return left and left & ev(cond.right)
+        raise TypeError(f"not a condition: {cond!r}")
+
     table = {}
     for scc in waa.sccs:
         if scc.recurring is None:
             raise SemanticError(f"automaton is not weak, mixed SCC: {scc.states}")
-        members = set(scc.states)
-        init = bool(scc.recurring)
-        cur = {(i, q): init for i in range(npos) for q in scc.states}
-
-        def ev(cond, i):
-            if isinstance(cond, LetterSet):
-                return w.letter(i) in cond.letters
-            if isinstance(cond, NextState):
-                j = w.succ(i)
-                if cond.state in members:
-                    return cur[(j, cond.state)]
-                return table[(j, cond.state)]
-            if isinstance(cond, Or):
-                return ev(cond.left, i) or ev(cond.right, i)
-            if isinstance(cond, And):
-                return ev(cond.left, i) and ev(cond.right, i)
-            raise TypeError(f"not a condition: {cond!r}")
-
+        val.update(dict.fromkeys(scc.states, full if scc.recurring else 0))
         changed = True
         while changed:
             changed = False
-            for i in range(npos):
-                for q in scc.states:
-                    val = ev(waa.delta[q], i)
-                    if val != cur[(i, q)]:
-                        cur[(i, q)] = val
-                        changed = True
-        table.update(cur)
+            for q in scc.states:
+                got = ev(waa.delta[q])
+                if got != val[q]:
+                    val[q] = got
+                    changed = True
+        for i in range(w.positions):
+            for q in scc.states:
+                table[(i, q)] = bool(val[q] >> i & 1)
     return table
 
 
@@ -242,6 +263,12 @@ def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:
 
 def _final_boundaries(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> list:
     """The loop-start family of every final candidate in the product space."""
+    return _final_candidates(bda.enumerate_state_space(cap), _period_map(bda, w), set(bda.buchi_indices))[0]
+
+
+def _period_map(bda, w):
+    """h on whole families: a family at the loop start maps to the family
+    one period earlier and the Buchi indices fired on the way."""
 
     def period(family):
         fired = set()
@@ -251,7 +278,7 @@ def _final_boundaries(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> list:
             fired |= rec.fired
         return family, fired
 
-    return _final_candidates(bda.enumerate_state_space(cap), period, set(bda.buchi_indices))[0]
+    return period
 
 
 @dataclass

@@ -245,58 +245,42 @@ def ltl_eval_lasso(phi: LtlFormula, w: LassoWord, i: int) -> bool:
 
 
 def ltl_truth_vector(phi: LtlFormula, w: LassoWord) -> list[bool]:
-    """Truth of phi at every quotient position."""
-    npos = w.positions
+    """Truth of phi at every quotient position.
+
+    Each subformula denotes a position mask (bit i for position i).  F and
+    U iterate their one-step unfolding b | (a & next X) up from no
+    position, G and R iterate b & (a | next X) down from every position.
+    """
+    full, pre = w.full, w.pre
 
     @functools.cache
     def vec(f):
         if isinstance(f, Letter):
-            return [w.letter(i) == f.name for i in range(npos)]
+            return w.mask(f.name)
         if isinstance(f, NegLetter):
-            return [w.letter(i) != f.name for i in range(npos)]
+            return full & ~w.mask(f.name)
         if isinstance(f, Or):
-            a, b = vec(f.left), vec(f.right)
-            return [x or y for x, y in zip(a, b)]
+            return vec(f.left) | vec(f.right)
         if isinstance(f, And):
-            a, b = vec(f.left), vec(f.right)
-            return [x and y for x, y in zip(a, b)]
+            return vec(f.left) & vec(f.right)
         if isinstance(f, Next):
-            a = vec(f.operand)
-            return [a[w.succ(i)] for i in range(npos)]
-        if isinstance(f, (Eventually, Always, Until, Release)):
-            return _fixpoint_vector(f, vec, w)
+            return pre(vec(f.operand))
+        if isinstance(f, (Eventually, Until)):
+            a, b = (full, vec(f.operand)) if isinstance(f, Eventually) else (vec(f.left), vec(f.right))
+            cur, last = 0, None
+            while cur != last:
+                cur, last = b | (a & pre(cur)), cur
+            return cur
+        if isinstance(f, (Always, Release)):
+            a, b = (0, vec(f.operand)) if isinstance(f, Always) else (vec(f.left), vec(f.right))
+            cur, last = full, None
+            while cur != last:
+                cur, last = b & (a | pre(cur)), cur
+            return cur
         raise TypeError(f"not an LTL formula: {f!r}")
 
-    return vec(phi)
-
-
-def _fixpoint_vector(f, vec, w):
-    npos = w.positions
-    if isinstance(f, Eventually):
-        a = vec(f.operand)
-        cur = [False] * npos
-        step = lambda i: a[i] or cur[w.succ(i)]
-    elif isinstance(f, Always):
-        a = vec(f.operand)
-        cur = [True] * npos
-        step = lambda i: a[i] and cur[w.succ(i)]
-    elif isinstance(f, Until):
-        a, b = vec(f.left), vec(f.right)
-        cur = [False] * npos
-        step = lambda i: b[i] or (a[i] and cur[w.succ(i)])
-    else:  # Release
-        a, b = vec(f.left), vec(f.right)
-        cur = [True] * npos
-        step = lambda i: b[i] and (a[i] or cur[w.succ(i)])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(npos):
-            val = step(i)
-            if val != cur[i]:
-                cur[i] = val
-                changed = True
-    return cur
+    truth = vec(phi)
+    return [bool(truth >> i & 1) for i in range(w.positions)]
 
 
 def random_ltl(rng, alphabet: Alphabet, size: int) -> LtlFormula:

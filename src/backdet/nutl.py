@@ -16,6 +16,11 @@ Cycles are detected on the dependence graph closed under an edge from each
 variable occurrence to the body it selects in its binder; guardedness
 requires a next-step vertex on every cycle, alternation-freeness forbids
 cycles through variables of both a least and a greatest fixed point.
+
+:func:`nutl_eval_lasso` is the Kleene semantics on a lasso: a formula
+denotes a position mask of the lasso quotient (:class:`LassoWord`), and
+each closed subformula is evaluated once, as in the alternation-free model
+checking of Emerson and Lei (LICS 1986).
 """
 
 from __future__ import annotations
@@ -181,20 +186,20 @@ def subformulas(roots) -> list[NutlFormula]:
     return subterms([roots] if isinstance(roots, NutlFormula) else roots)
 
 
-def free_vars(f: NutlFormula, _cache=None) -> frozenset:
-    if _cache is None:
-        _cache = {}
-    got = _cache.get(f)
-    if got is not None:
-        return got
-    if isinstance(f, Var):
-        result = frozenset({f.name})
-    elif isinstance(f, Fix):
-        result = frozenset().union(*(free_vars(b, _cache) for b in f.bodies)) - set(f.vars)
-    else:
-        result = frozenset().union(*(free_vars(c, _cache) for c in f.children))
-    _cache[f] = result
-    return result
+def _free_table(roots) -> dict:
+    """Free variables of every subformula of ``roots``, in one pass."""
+    free = {}
+    for f in subterms(roots, children_first=True):
+        if isinstance(f, Var):
+            free[f] = frozenset({f.name})
+        else:
+            got = frozenset().union(*map(free.__getitem__, f.children))
+            free[f] = got - set(f.vars) if isinstance(f, Fix) else got
+    return free
+
+
+def free_vars(f: NutlFormula) -> frozenset:
+    return _free_table([f])[f]
 
 
 def is_closed(f: NutlFormula) -> bool:
@@ -301,13 +306,16 @@ def check_alternation_free(phi) -> list | None:
     return _alternating_walk(_analyse(phi))
 
 
+def _require_closed(roots, free):
+    for f in roots:
+        if free[f]:
+            raise SemanticError(f"formula is not closed: free {sorted(free[f])}")
+
+
 def _require_translatable(roots) -> _Analysis:
     """The analysis of a closed, guarded, alternation-free formula tuple;
     SemanticError for any other."""
-    cache = {}
-    for f in roots:
-        if free_vars(f, cache):
-            raise SemanticError(f"formula is not closed: free {sorted(free_vars(f, cache))}")
+    _require_closed(roots, _free_table(roots))
     a = _analyse(roots)
     cycle = _unguarded_cycle(a)
     if cycle is not None:
@@ -386,18 +394,18 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
     if alphabet is None:
         alphabet = _alphabet_of(a.nodes)
 
-    def resolve(f):
+    def variable(f, role="next-step operand"):
         if isinstance(f, Var):
             return f.name
         if isinstance(f, Fix):
             return f.vars[f.index]
         raise SemanticError(
-            "optimized translation inapplicable: next-step operand "
-            f"{format_nutl(f)} does not denote a fixed-point variable; "
+            f"optimized translation inapplicable: {role} {format_nutl(f)} "
+            "does not denote a fixed-point variable; "
             "use the subformula translation instead"
         )
 
-    build = _condition_builder(a.binders, alphabet, resolve)
+    build = _condition_builder(a.binders, alphabet, variable)
     delta = {}
     recurring = set()
     for name, (fix, j) in a.binders.items():
@@ -405,7 +413,7 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
         if fix.kind == NU:
             recurring.add(name)
 
-    initial_states = [resolve(f) for f in roots]
+    initial_states = [variable(f, f"tuple component {j}:") for j, f in enumerate(roots)]
     waa = WeakAlternatingAutomaton(
         alphabet, a.binders.keys(), delta, recurring, initial=set(initial_states)
     )
@@ -445,74 +453,56 @@ def dual_nutl(f: NutlFormula) -> NutlFormula:
     return dual(f)
 
 
-class _Evaluator:
-    """Kleene evaluation of formulas as position sets on a lasso quotient."""
+def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
+    """Per-position truth sets: position i maps to the set of component
+    indices whose formula holds on the suffix from i.
 
-    def __init__(self, w: LassoWord):
-        self.w = w
-        self.all_positions = frozenset(range(w.positions))
-        self._closed_cache = {}
-        self._free_cache = {}
+    Kleene iteration over position masks (bit i for position i): a fix
+    node iterates its body vector from no position (mu) or every position
+    (nu), and each closed subformula is evaluated once per call.
+    """
+    roots = list(phi_tuple)
+    free = _free_table(roots)
+    _require_closed(roots, free)
+    full, pre = w.full, w.pre
+    closed = {}
 
-    def eval(self, f, env):
-        if not free_vars(f, self._free_cache):
-            got = self._closed_cache.get(f)
-            if got is not None:
-                return got
-            result = self._eval(f, env)
-            self._closed_cache[f] = result
-            return result
-        return self._eval(f, env)
-
-    def _eval(self, f, env):
-        w = self.w
+    def ev(f, env):
+        got = closed.get(f)
+        if got is not None:
+            return got
         if isinstance(f, Letter):
-            return frozenset(i for i in self.all_positions if w.letter(i) == f.name)
-        if isinstance(f, NegLetter):
-            return frozenset(i for i in self.all_positions if w.letter(i) != f.name)
-        if isinstance(f, Var):
-            try:
-                return env[f.name]
-            except KeyError:
-                raise SemanticError(f"free variable {f.name!r}") from None
-        if isinstance(f, Next):
-            sub = self.eval(f.operand, env)
-            return frozenset(i for i in self.all_positions if w.succ(i) in sub)
-        if isinstance(f, Or):
-            return self.eval(f.left, env) | self.eval(f.right, env)
-        if isinstance(f, And):
-            return self.eval(f.left, env) & self.eval(f.right, env)
-        if isinstance(f, Fix):
-            init = frozenset() if f.kind == MU else self.all_positions
-            cur = {name: init for name in f.vars}
-            limit = w.positions * len(f.vars) + 2
-            for _ in range(limit):
-                inner = dict(env)
-                inner.update(cur)
-                nxt = {
-                    name: self.eval(body, inner)
-                    for name, body in zip(f.vars, f.bodies)
-                }
+            got = w.mask(f.name)
+        elif isinstance(f, NegLetter):
+            got = full & ~w.mask(f.name)
+        elif isinstance(f, Var):
+            return env[f.name]
+        elif isinstance(f, Next):
+            got = pre(ev(f.operand, env))
+        elif isinstance(f, Or):
+            got = ev(f.left, env) | ev(f.right, env)
+        elif isinstance(f, And):
+            got = ev(f.left, env) & ev(f.right, env)
+        elif isinstance(f, Fix):
+            cur = dict.fromkeys(f.vars, 0 if f.kind == MU else full)
+            for _ in range(w.positions * len(f.vars) + 2):
+                inner = {**env, **cur}
+                nxt = {name: ev(body, inner) for name, body in zip(f.vars, f.bodies)}
                 if nxt == cur:
                     break
                 cur = nxt
             else:
                 raise AssertionError("fixed-point iteration failed to converge")
-            return cur[f.vars[f.index]]
-        raise TypeError(f"not a nutl formula: {f!r}")
+            got = cur[f.vars[f.index]]
+        else:
+            raise TypeError(f"not a nutl formula: {f!r}")
+        if not free[f]:
+            closed[f] = got
+        return got
 
-
-def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
-    """Per-position truth sets: position i maps to the set of component
-    indices whose formula holds on the suffix from i."""
-    roots = list(phi_tuple)
-    for f in roots:
-        if not is_closed(f):
-            raise SemanticError(f"formula is not closed: free {sorted(free_vars(f))}")
-    ev = _Evaluator(w)
-    truths = [ev.eval(f, {}) for f in roots]
+    truths = [ev(f, {}) for f in roots]
     return [
-        frozenset(j for j, positions in enumerate(truths) if i in positions)
+        frozenset(j for j, m in enumerate(truths) if m >> i & 1)
         for i in range(w.positions)
     ]
 

@@ -16,7 +16,7 @@ from backdet.lasso import (
     count_final_candidates,
     waa_accept_table,
 )
-from backdet.ltl import ltl_to_waa, random_ltl
+from backdet.ltl import _compact, ltl_to_waa, ltl_truth_vector, random_ltl, subformulas
 from backdet.nba import nba_accepts_lasso, nba_to_bda
 from backdet.nutl import nutl_eval_lasso
 from backdet.validation import (
@@ -49,6 +49,31 @@ def test_criterion_1_main_theorem_equivalence():
         f"lambda(r(i)) == oracle on {result.cases} formula/lasso cases "
         f"({len(result.failures)} mismatches)",
     )
+
+
+def test_ltl_final_run_families_are_the_subformula_truth_sets():
+    # the repo's reading of claim (2), optimality for LTL; PAPER.md holds
+    # only the abstract, so this is not the paper's definition.  In a very
+    # weak automaton every SCC is one state with values {1, inf}, so lambda
+    # is a bijection from families to output sets: the final-run family at
+    # each position must be the one whose output is the set of subformulas
+    # true there.  A prefix of criterion 1's formulas, on its lassos.
+    rng = random.Random(7)
+    lassos = list(exhaustive_lassos(AB, 2, 3))
+    for _ in range(40):
+        phi = random_ltl(rng, AB, 8)
+        waa = ltl_to_waa(phi, AB)
+        bda = BackwardDetAutomaton(waa)
+        subformula = {"q_" + _compact(g): g for g in subformulas(phi)}
+        assert set(subformula) == set(waa.states)
+        for w in lassos:
+            truth = {q: ltl_truth_vector(g, w) for q, g in subformula.items()}
+            for i, family in enumerate(bda_final_run(bda, w).families):
+                true_here = {q for q in waa.states if truth[q][i]}
+                assert bda.output(family) == true_here, (str(phi), str(w), i)
+                assert family == tuple(
+                    INF if waa.is_recurring(q) == (q in true_here) else 1 for q in waa.states
+                ), (str(phi), str(w), i)
 
 
 def test_criterion_2_backward_determinism():

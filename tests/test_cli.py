@@ -118,6 +118,14 @@ def test_nutl2waa_unguarded_rejected(tmp_path, capsys):
     assert "guarded" in err
 
 
+def test_nutl2waa_optimized_names_a_bad_component(tmp_path, capsys):
+    src = tmp_path / "phi.txt"
+    src.write_text("a\n")
+    code, _, err = run_cli(capsys, "nutl2waa", "--optimized", str(src), "--alphabet", "a", "b")
+    assert code == cli.EXIT_SEMANTIC
+    assert "tuple component 0: a does not denote a fixed-point variable" in err
+
+
 @pytest.mark.parametrize("text", ["mu_0 (X,X).(a; b)", "mu_0 (X).(a; b)"])
 def test_nutl2waa_bad_fix_header_is_a_parse_error(tmp_path, capsys, text):
     src = tmp_path / "phi.txt"

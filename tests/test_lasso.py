@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
@@ -35,6 +36,25 @@ def test_lasso_quotient_mechanics():
     assert str(w) == "b ; a b"
     with pytest.raises(ValueError):
         LassoWord(("a",), ())
+
+
+@st.composite
+def lassos_and_masks(draw):
+    letters = st.sampled_from("ab")
+    w = LassoWord(draw(st.lists(letters, max_size=6)), draw(st.lists(letters, min_size=1, max_size=6)))
+    return w, draw(st.integers(0, (1 << w.positions) - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lassos_and_masks())
+def test_mask_primitives_follow_the_quotient_rule(case):
+    # bit i stands for position i; "c" occurs in no word
+    w, s = case
+    positions = range(w.positions)
+    assert w.full == (1 << w.positions) - 1
+    for a in "abc":
+        assert w.mask(a) == sum(1 << i for i in positions if w.letter(i) == a)
+    assert w.pre(s) == sum(1 << i for i in positions if s >> w.succ(i) & 1)
 
 
 def test_unrolled_same_word():
@@ -271,3 +291,22 @@ def test_final_runs_of_random_weak_automata_match_the_oracle():
             report = cross_validate(waa, w, bda)
             assert report.ok, report.mismatches
     assert polarities == {True, False}
+
+
+def test_final_runs_above_the_cap_of_five_state_sccs_match_the_oracle():
+    # fixed-seed weak automata with one 5-state and one 2-state SCC, so the
+    # product space is 6^5 * 3^2 = 69984 families, above the cap; the
+    # 5-state SCC comes in both polarities, on every lasso |u| <= 1, |v| <= 2
+    rng = random.Random(6)
+    lassos = list(exhaustive_lassos(AB, 1, 2))
+    polarities = set()
+    while len(polarities) < 2:
+        waa = random_waa(rng, AB, 7)
+        if sorted(scc.size for scc in waa.sccs) != [2, 5]:
+            continue
+        polarities.add(next(scc.recurring for scc in waa.sccs if scc.size == 5))
+        bda = BackwardDetAutomaton(waa)
+        assert bda.state_space_bound == 6**5 * 3**2 > DEFAULT_ENUMERATION_CAP
+        for w in lassos:
+            report = cross_validate(waa, w, bda)
+            assert report.ok, report.mismatches

@@ -175,8 +175,11 @@ def test_optimized_translation_one_state_per_variable():
 def test_optimized_translation_inapplicable():
     # next operand is a disjunction, not a variable
     phi = parse_nutl("mu_0 (X).(b | O (a | X))", AB)
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match="next-step operand"):
         nutl_to_waa_optimized([phi], AB)
+    # a tuple component that is no variable is named as a component
+    with pytest.raises(SemanticError, match="tuple component 1: a does not"):
+        nutl_to_waa_optimized([parse_nutl(UNTIL, AB), parse_nutl("a", AB)], AB)
 
 
 def test_recurring_states_follow_binder_kind():
