@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import LetterSet, WeakAlternatingAutomaton, fold, validate_weak
 from .errors import StateSpaceCapError
@@ -50,18 +51,33 @@ class TransitionRecord:
     critical: tuple
 
 
+class SccTable(NamedTuple):
+    """One SCC's value tuples over {1, ..., m, inf}, numbered by code in
+    mixed radix (``itertools.product`` order); its states' indices in the
+    family; each tuple's mask of accepting states; and the Buchi indices
+    (s, i) of each fired mask (bit i-1 for index i)."""
+
+    positions: tuple
+    values: list
+    code: dict
+    accepting: list
+    fired: list
+
+
 class BackwardDetAutomaton:
     """The backward deterministic automaton derived from a weak automaton.
 
-    A transition is computed SCC by SCC (:meth:`scc_step`): an SCC's next
-    values read the raw values of its own states and, of the states outside
-    it that its conditions refer to, only whether they accept.  The per-SCC
-    step is memoized on (letter, own raw values, those acceptance bits), so
-    for an SCC of m states whose conditions read e outside states the memo
-    holds at most |alphabet| * (m+1)^m * 2^e entries, however many words
-    are asked.  ``scc_memo`` is the only memo the automaton keeps:
-    :meth:`step` composes the per-SCC steps on a whole family, and the full
-    state space is enumerated afresh on each request.
+    A transition is computed SCC by SCC: an SCC's next values read the raw
+    values of its own states and, of the states outside it that its
+    conditions refer to, only whether they accept.  The per-SCC step is
+    memoized in rows: ``scc_memo[s]`` maps (letter, outside bits) to a list
+    indexed by local code (:class:`SccTable`, built on first use), filled
+    lazily with (successor code, fired bits, critical value).  The outside
+    bits are the next position's acceptance mask (bit ``state_pos[q]``)
+    within ``outside_mask[s]``, so an SCC of m states whose conditions read
+    e outside states has at most |alphabet| * 2^e rows of length (m+1)^m,
+    however many words are asked.  ``scc_memo`` is the only memo the
+    automaton keeps: :meth:`step` composes the same rows on a whole family.
     """
 
     def __init__(self, waa: WeakAlternatingAutomaton):
@@ -69,17 +85,18 @@ class BackwardDetAutomaton:
         if mixed:
             raise ValueError(f"automaton is not weak, mixed SCC: {mixed[0].states}")
         self.waa = waa
-        self.state_pos = {q: i for i, q in enumerate(waa.states)}
+        self.state_pos = pos = {q: i for i, q in enumerate(waa.states)}
         # Buchi index set: (scc index, i) with 1 <= i <= |S|; one set per state.
         self.buchi_indices = tuple(
             (s, i) for s, scc in enumerate(waa.sccs) for i in range(1, scc.size + 1)
         )
         assert len(self.buchi_indices) == len(waa.states)
-        # per SCC: the outside states its conditions read, sorted
-        self.outside_states = tuple(
-            tuple(sorted(frozenset().union(*map(waa.successors, scc.states)) - set(scc.states)))
+        # per SCC: the outside states its conditions read, as a state mask
+        self.outside_mask = tuple(
+            sum(1 << pos[q] for q in frozenset().union(*map(waa.successors, scc.states)) - set(scc.states))
             for scc in waa.sccs
         )
+        self.scc_tables = [None] * len(waa.sccs)
         self.scc_memo = [{} for _ in waa.sccs]
 
     @property
@@ -90,17 +107,17 @@ class BackwardDetAutomaton:
             bound *= (scc.size + 1) ** scc.size
         return bound
 
-    def eval_condition(self, q: str, letter: str, values) -> Value:
+    def eval_condition(self, q: str, letter: str, values, accepting: int) -> Value:
         """Intermediate value of state q after reading ``letter`` backward.
 
         ``values`` maps each state of q's SCC that delta(q) refers to onto
-        its value at the next position, and each other state it refers to
-        onto whether that state accepts there.  A letter test or an outside
-        state evaluates to inf when its truth equals q's polarity, else to 0.
-        May return 0; the lifting in :meth:`scc_step` restores the 1..|S|
-        range.
+        its value at the next position; ``accepting`` holds the states that
+        accept there (bit ``state_pos[q]``), of which only those outside
+        q's SCC are read.  A letter test or an outside state evaluates to
+        inf when its truth equals q's polarity, else to 0.  May return 0;
+        the lifting in :meth:`scc_entry` restores the 1..|S| range.
         """
-        waa = self.waa
+        waa, pos = self.waa, self.state_pos
         recurring = waa.is_recurring(q)
         q_scc = waa.scc_of(q)
 
@@ -110,33 +127,43 @@ class BackwardDetAutomaton:
             elif waa.scc_of(c.state) == q_scc:
                 return values[c.state]
             else:
-                holds = values[c.state]
+                holds = bool(accepting >> pos[c.state] & 1)
             return INF if holds == recurring else 0
 
         if recurring:
             return fold(waa.delta[q], atom, max, min)
         return fold(waa.delta[q], atom, min, max)
 
-    def scc_step(self, s: int, letter: str, own: tuple, outside: tuple) -> tuple:
-        """SCC s's part of one backward transition, memoized.
+    def scc_table(self, s: int) -> SccTable:
+        """SCC s's value table, built on first use."""
+        table = self.scc_tables[s]
+        if table is None:
+            scc = self.waa.sccs[s]
+            positions = tuple([self.state_pos[q] for q in scc.states])
+            domain = [*range(1, scc.size + 1), INF]
+            values = list(itertools.product(domain, repeat=scc.size))
+            code = dict(zip(values, range(len(values))))
+            # each tuple's acceptance mask sums the bits of its states' values
+            bits = [[1 << p if accepts(v, scc.recurring) else 0 for v in domain] for p in positions]
+            accepting = list(map(sum, itertools.product(*bits)))
+            fired = [()]  # fired[mask] lists each (s, i) whose bit i-1 is set
+            for i in range(1, scc.size + 1):
+                fired += [indices + ((s, i),) for indices in fired]
+            table = self.scc_tables[s] = SccTable(positions, values, code, accepting, fired)
+        return table
 
-        ``own`` holds the next position's values of the SCC's states (in
-        ``waa.sccs[s].states`` order), ``outside`` for each state of
-        ``outside_states[s]`` whether it accepts there (:func:`accepts`).
-        Returns (lifted values, fired Buchi indices, critical value).
-        """
-        memo = self.scc_memo[s]
-        key = (letter, own, outside)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = self._compute_scc_step(s, letter, own, outside)
-        return got
+    def scc_row(self, s: int, letter: str, outside: int) -> list:
+        """SCC s's step row for ``letter`` and the outside acceptance bits
+        ``outside``, made on first use; an entry is None until
+        :meth:`scc_entry` fills it."""
+        return self.scc_memo[s].setdefault((letter, outside), [None] * len(self.scc_table(s).values))
 
-    def _compute_scc_step(self, s, letter, own, outside):
-        scc = self.waa.sccs[s]
-        values = dict(zip(scc.states, own))
-        values.update(zip(self.outside_states[s], outside))
-        tilde = [self.eval_condition(q, letter, values) for q in scc.states]
+    def scc_entry(self, s: int, letter: str, outside: int, code: int) -> tuple:
+        """Fill entry ``code`` of the row :meth:`scc_row` made for (s, letter,
+        outside) and return it: (successor code, fired bits, critical value)."""
+        scc, table = self.waa.sccs[s], self.scc_tables[s]
+        values = dict(zip(scc.states, table.values[code]))
+        tilde = [self.eval_condition(q, letter, values, outside) for q in scc.states]
         finite = {v for v in tilde if v != INF}
         m = 0
         while m in finite:
@@ -145,26 +172,30 @@ class BackwardDetAutomaton:
         # (S,i) fires when the lifting bumps every value at level <= i
         # (i <= m) or no finite value at level >= i survives at all;
         # either way no value chain can sit at level i across this step
-        fired = frozenset(
-            (s, i)
-            for i in range(1, scc.size + 1)
-            if i <= m or not any(v != INF and v >= i for v in lifted)
-        )
-        return tuple(lifted), fired, m
+        fired = sum(1 << (i - 1) for i in range(1, scc.size + 1)
+                    if i <= m or not any(v != INF and v >= i for v in lifted))
+        got = self.scc_memo[s][(letter, outside)][code] = (table.code[tuple(lifted)], fired, m)
+        return got
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:
         """rho(letter, family) together with critical values and fired sets."""
-        pos, recurring = self.state_pos, self.waa.recurring
+        codes = []
+        accepting = 0
+        for s, table in enumerate(self.scc_tables):
+            table = table or self.scc_table(s)
+            code = table.code[tuple([family[p] for p in table.positions])]
+            accepting |= table.accepting[code]
+            codes.append(code)
         result = [None] * len(family)
-        fired = set()
+        fired = []
         critical = []
-        for s, scc in enumerate(self.waa.sccs):
-            own = tuple([family[pos[q]] for q in scc.states])
-            outside = tuple([accepts(family[pos[q]], q in recurring) for q in self.outside_states[s]])
-            lifted, scc_fired, m = self.scc_step(s, letter, own, outside)
-            for q, v in zip(scc.states, lifted):
-                result[pos[q]] = v
-            fired |= scc_fired
+        for s, table in enumerate(self.scc_tables):
+            outside = accepting & self.outside_mask[s]
+            row = self.scc_memo[s].get((letter, outside)) or self.scc_row(s, letter, outside)
+            code, bits, m = row[codes[s]] or self.scc_entry(s, letter, outside, codes[s])
+            for p, v in zip(table.positions, table.values[code]):
+                result[p] = v
+            fired += table.fired[bits]
             critical.append(m)
         return TransitionRecord(letter, family, tuple(result), frozenset(fired), tuple(critical))
 

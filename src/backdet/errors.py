@@ -51,8 +51,10 @@ class NoFinalRunError(FinalRunError):
 
 
 class MultipleFinalRunsError(FinalRunError):
-    """More than one candidate run is final; ``count`` says how many."""
+    """More than one candidate run is final; ``count`` says how many, and
+    ``candidates`` holds the SCC's final local value tuples when known."""
 
-    def __init__(self, message, count, word=None, scc=None):
+    def __init__(self, message, count, word=None, scc=None, candidates=()):
         super().__init__(message, word, scc)
         self.count = count
+        self.candidates = candidates

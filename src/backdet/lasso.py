@@ -15,12 +15,13 @@ backward deterministic automaton.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import graph
 from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton
-from .construction import INF, BackwardDetAutomaton, TransitionRecord, accepts
+from .construction import INF, BackwardDetAutomaton, TransitionRecord
 from .errors import MultipleFinalRunsError, NoFinalRunError, SemanticError
 
 DEFAULT_ENUMERATION_CAP = 1 << 16
@@ -153,16 +154,17 @@ def _final_candidates(starts, period, need):
     """One period from every start, and the starts on final h-cycles.
 
     ``period(start)`` maps a value at a period boundary to its image under h,
-    the value one period earlier, and to the Buchi indices fired on the way.
-    Returns the starts on the h-cycles that fire every index in ``need``
-    (each rotation of a final cycle is a distinct candidate run), the image
-    of every start, and the h-cycles.
+    the value one period earlier, and to the Buchi indices fired on the way,
+    as a set or as a bit mask like ``need``.  Returns the starts on the
+    h-cycles that fire every index in ``need`` (each rotation of a final
+    cycle is a distinct candidate run), the image of every start, and the
+    h-cycles.
     """
     image, fired = {}, {}
     for start in starts:
         image[start], fired[start] = period(start)
     cycles = graph.functional_cycles(image)
-    finals = [f for cyc in cycles if set().union(*map(fired.__getitem__, cyc)) >= need for f in cyc]
+    finals = [f for cyc in cycles if need & reduce(or_, map(fired.__getitem__, cyc)) == need for f in cyc]
     return finals, image, cycles
 
 
@@ -172,52 +174,53 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     An SCC's next values read only its own values and whether the states of
     lower SCCs accept, so the SCCs are settled successors first, each by an
     exhaustive search of its own (m+1)^m values.  For SCC s, h composes the
-    per-SCC step (:meth:`BackwardDetAutomaton.scc_step`) over one period,
-    reading the settled lower SCCs' values, and maps s's values at a period
-    boundary to its values one period earlier.  An infinite backward run
-    pins the boundary values to an infinite chain of h-preimages, which on a
-    finite function graph only exists along cycles of h, so enumerating the
-    h-cycles finds every candidate (:func:`_final_candidates`).  A cycle of
-    length k yields k candidates (one per rotation); a candidate is final
-    iff every Buchi index of s in ``bda.buchi_indices`` fires within the
-    cycle.  Exactly one candidate per SCC may pass: none raises
-    :class:`NoFinalRunError`, more than one :class:`MultipleFinalRunsError`,
-    both naming the word and the SCC.
+    per-SCC step over one period, reading the settled lower SCCs'
+    acceptance, and maps s's value code at a period boundary to its code one
+    period earlier.  An infinite backward run pins the boundary values to an
+    infinite chain of h-preimages, which on a finite function graph only
+    exists along cycles of h, so enumerating the h-cycles finds every
+    candidate (:func:`_final_candidates`).  A cycle of length k yields k
+    candidates (one per rotation); a candidate is final iff every Buchi
+    index of s in ``bda.buchi_indices`` fires within the cycle.  Exactly one
+    candidate per SCC may pass: none raises :class:`NoFinalRunError`, more
+    than one :class:`MultipleFinalRunsError`, both naming the word and the
+    SCC.
 
-    The cost is a sum over SCCs of (m+1)^m * |v| memoized per-SCC steps,
-    not a product; :func:`count_final_candidates` is the product-space
-    reference.
+    The run keeps one acceptance mask per position, so SCC s fetches its n
+    step rows (:meth:`BackwardDetAutomaton.scc_row`) once, and a period is
+    |v| list indexings.  The cost is a sum over SCCs of (m+1)^m * |v| such
+    indexings, not a product; :func:`count_final_candidates` is the
+    product-space reference.
     """
     waa = bda.waa
     n, loop = w.positions, w.loop_start
     letters = [w.letter(i) for i in range(n)]
     succ = [w.succ(i) for i in range(n)]
-    period_positions = range(n - 1, loop - 1, -1)
-    pos = bda.state_pos
     families = [[None] * len(waa.states) for _ in range(n)]
-    fired = [set() for _ in range(n)]
+    fired = [[] for _ in range(n)]
     critical = [[] for _ in range(n)]
-    need = {}
-    for index in bda.buchi_indices:
-        need.setdefault(index[0], set()).add(index)
+    accepting = [0] * n  # the settled states that accept at each position
+    need = [0] * len(waa.sccs)
+    for s, i in bda.buchi_indices:
+        need[s] |= 1 << (i - 1)
     for s, scc in enumerate(waa.sccs):
-        outside = [(pos[q], waa.is_recurring(q)) for q in bda.outside_states[s]]
-        # whether each outside state accepts at succ(i), read by the step
-        # into position i
-        reads = [tuple(accepts(families[succ[i]][p], r) for p, r in outside) for i in range(n)]
+        table = bda.scc_table(s)
+        # the row, letter and outside bits of the step into each position
+        memo, mask = bda.scc_memo[s], bda.outside_mask[s]
+        steps = []
+        for letter, j in zip(letters, succ):
+            key = (letter, accepting[j] & mask)
+            steps.append((memo.get(key) or bda.scc_row(s, *key), *key))
+        period_steps = steps[loop:][::-1]
 
-        def step(i, own):
-            return bda.scc_step(s, letters[i], own, reads[i])
+        def period(code):
+            got = 0
+            for row, letter, outside in period_steps:
+                code, bits, _ = row[code] or bda.scc_entry(s, letter, outside, code)
+                got |= bits
+            return code, got
 
-        def period(own):
-            got = set()
-            for i in period_positions:
-                own, scc_fired, _ = step(i, own)
-                got |= scc_fired
-            return own, got
-
-        starts = itertools.product([*range(1, scc.size + 1), INF], repeat=scc.size)
-        finals, _, cycles = _final_candidates(starts, period, need.get(s, set()))
+        finals, _, cycles = _final_candidates(range(len(table.values)), period, need[s])
         if not finals:
             raise NoFinalRunError(
                 f"no final run on {w}: SCC {s} has no final candidate "
@@ -225,21 +228,24 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
                 word=w, scc=s,
             )
         if len(finals) > 1:
+            candidates = tuple(table.values[code] for code in finals)
             detail = ", ".join(
                 " ".join(f"{q}={'inf' if v == INF else v}" for q, v in zip(scc.states, own))
-                for own in finals
+                for own in candidates
             )
             raise MultipleFinalRunsError(
                 f"{len(finals)} final runs on {w} in SCC {s}: {detail}",
-                len(finals), word=w, scc=s,
+                len(finals), word=w, scc=s, candidates=candidates,
             )
-        own = finals[0]
+        code = finals[0]
         for i in range(n - 1, -1, -1):
-            own, scc_fired, m = step(i, own)
+            row, letter, outside = steps[i]
+            code, bits, m = row[code] or bda.scc_entry(s, letter, outside, code)
+            accepting[i] |= table.accepting[code]
             family = families[i]
-            for q, v in zip(scc.states, own):
-                family[pos[q]] = v
-            fired[i] |= scc_fired
+            for p, v in zip(table.positions, table.values[code]):
+                family[p] = v
+            fired[i] += table.fired[bits]
             critical[i].append(m)
     families = [tuple(f) for f in families]
     records = tuple(

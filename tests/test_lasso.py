@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton
+from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
 from backdet.dot import period_graph_to_dot
 from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
@@ -171,6 +171,8 @@ def test_multiple_final_runs_error_names_word_and_scc():
     with pytest.raises(MultipleFinalRunsError) as err:
         bda_final_run(bda, w)
     assert (err.value.word, err.value.scc, err.value.count) == (w, s, 2)
+    assert err.value.candidates == ((1,), (INF,))
+    assert str(err.value) == f"2 final runs on {w} in SCC {s}: q_G_F_a=1, q_G_F_a=inf"
     assert count_final_candidates(bda, w) == 2
 
 
@@ -196,7 +198,7 @@ def test_multiple_final_runs_error_carries_count():
     assert isinstance(err, FinalRunError)
     assert err.count == 3
     assert str(err) == "3 final runs on a ; b"
-    assert err.word is None and err.scc is None
+    assert err.word is None and err.scc is None and err.candidates == ()
     w = LassoWord(("a",), ("b",))
     err = NoFinalRunError("no final run", word=w, scc=2)
     assert (err.word, err.scc, str(err)) == (w, 2, "no final run")
@@ -252,25 +254,39 @@ def test_step_memo_stays_within_its_bound():
     # many lassos on one long-lived automaton, through every path that
     # steps it (final runs, the product-space reference, the transition
     # table, the period graph): each SCC's memo holds at most
-    # |alphabet| * (m+1)^m * 2^(outside states read) entries, and it is the
-    # only memo the automaton keeps
+    # |alphabet| * 2^(outside states read) rows, one per letter and outside
+    # acceptance bits, each of length (m+1)^m, and it is the only memo the
+    # automaton keeps; the value tables have one entry per local code
     rng = random.Random(5)
     while True:
-        bda = BackwardDetAutomaton(random_waa(rng, AB, 5))
-        sccs = bda.waa.sccs
-        if bda.state_space_bound <= 1 << 10 and max(scc.size for scc in sccs) > 1 and any(bda.outside_states):
+        random_bda = BackwardDetAutomaton(random_waa(rng, AB, 5))
+        sccs = random_bda.waa.sccs
+        if (random_bda.state_space_bound <= 1 << 10 and max(scc.size for scc in sccs) > 1
+                and any(random_bda.outside_mask)):
             break
-    for _ in range(400):
-        bda_final_run(bda, _random_lasso(rng, 6, 8))
-    for _ in range(20):
-        w = _random_lasso(rng, 3, 4)
-        assert count_final_candidates(bda, w) == 1
-        assert period_graph_to_dot(bda, w).startswith("digraph period")
-    assert f"families: {bda.state_space_bound}" in format_bda(bda, 1 << 10)
-    for s, scc in enumerate(sccs):
-        bound = len(AB) * (scc.size + 1) ** scc.size * 2 ** len(bda.outside_states[s])
-        assert 0 < len(bda.scc_memo[s]) <= bound
-    assert set(vars(bda)) == {"waa", "state_pos", "buchi_indices", "outside_states", "scc_memo"}
+    # q reads r, which reads p, and p accepts where the letter is a: a row
+    # key of q that carried p's acceptance would show
+    delta = {"p": LetterSet({"a"}), "r": Or(NextState("p"), NextState("r")),
+             "q": And(NextState("q"), NextState("r"))}
+    chain = BackwardDetAutomaton(WeakAlternatingAutomaton(AB, ["p", "q", "r"], delta, []))
+    assert [scc.states for scc in chain.waa.sccs] == [("p",), ("r",), ("q",)]
+    for bda in (random_bda, chain):
+        for _ in range(400):
+            bda_final_run(bda, _random_lasso(rng, 6, 8))
+        for _ in range(20):
+            w = _random_lasso(rng, 3, 4)
+            assert count_final_candidates(bda, w) == 1
+            assert period_graph_to_dot(bda, w).startswith("digraph period")
+        assert f"families: {bda.state_space_bound}" in format_bda(bda, 1 << 10)
+        for s, scc in enumerate(bda.waa.sccs):
+            mask = bda.outside_mask[s]
+            rows = bda.scc_memo[s]
+            assert 0 < len(rows) <= len(AB) * 2 ** bin(mask).count("1")
+            for (letter, outside), row in rows.items():
+                assert letter in AB.letters and outside & ~mask == 0
+                assert len(row) == (scc.size + 1) ** scc.size
+            assert len(bda.scc_tables[s].values) == (scc.size + 1) ** scc.size
+        assert set(vars(bda)) == {"waa", "state_pos", "buchi_indices", "outside_mask", "scc_tables", "scc_memo"}
 
 
 def test_final_runs_of_random_weak_automata_match_the_oracle():
@@ -296,7 +312,9 @@ def test_final_runs_of_random_weak_automata_match_the_oracle():
 def test_final_runs_above_the_cap_of_five_state_sccs_match_the_oracle():
     # fixed-seed weak automata with one 5-state and one 2-state SCC, so the
     # product space is 6^5 * 3^2 = 69984 families, above the cap; the
-    # 5-state SCC comes in both polarities, on every lasso |u| <= 1, |v| <= 2
+    # 5-state SCC comes in both polarities, on every lasso |u| <= 1, |v| <= 2;
+    # each record of the final run is the whole-family step over the same
+    # rows
     rng = random.Random(6)
     lassos = list(exhaustive_lassos(AB, 1, 2))
     polarities = set()
@@ -308,5 +326,8 @@ def test_final_runs_above_the_cap_of_five_state_sccs_match_the_oracle():
         bda = BackwardDetAutomaton(waa)
         assert bda.state_space_bound == 6**5 * 3**2 > DEFAULT_ENUMERATION_CAP
         for w in lassos:
-            report = cross_validate(waa, w, bda)
+            run = bda_final_run(bda, w)
+            for i in range(w.positions):
+                assert run.records[i] == bda.step(w.letter(i), run.families[w.succ(i)]), (str(w), i)
+            report = cross_validate(waa, w, bda, run)
             assert report.ok, report.mismatches
