@@ -6,7 +6,10 @@ works backward (the new family at position i is computed from the letter at
 i and the family at i+1) in two stages: per-state evaluation of the
 transition condition, then a per-SCC lifting controlled by the critical
 value.  An SCC's step reads raw values only from its own states; of the
-states below it, it reads only whether they accept (:func:`accepts`).
+states below it, it reads only whether they accept (:func:`accepts`).  So
+the step of one SCC, for one letter and one acceptance pattern below it, is
+a row over the SCC's local values; each row is built whole, both stages at
+once for every local value, when it is first asked for.
 Acceptance is a generalized transition Buchi condition with one set per
 automaton state.
 """
@@ -71,8 +74,9 @@ class BackwardDetAutomaton:
     values of its own states and, of the states outside it that its
     conditions refer to, only whether they accept.  The per-SCC step is
     memoized in rows: ``scc_memo[s]`` maps (letter, outside bits) to a list
-    indexed by local code (:class:`SccTable`, built on first use), filled
-    lazily with (successor code, fired bits, critical value).  The outside
+    indexed by local code (:class:`SccTable`, built on first use) of
+    (successor code, fired bits, critical value), built whole by
+    :meth:`scc_row` when the key is first asked for.  The outside
     bits are the next position's acceptance mask (bit ``state_pos[q]``)
     within ``outside_mask[s]``, so an SCC of m states whose conditions read
     e outside states has at most |alphabet| * 2^e rows of length (m+1)^m,
@@ -102,37 +106,7 @@ class BackwardDetAutomaton:
     @property
     def state_space_bound(self) -> int:
         """Full state-space size: product over SCCs of (m+1)^m."""
-        bound = 1
-        for scc in self.waa.sccs:
-            bound *= (scc.size + 1) ** scc.size
-        return bound
-
-    def eval_condition(self, q: str, letter: str, values, accepting: int) -> Value:
-        """Intermediate value of state q after reading ``letter`` backward.
-
-        ``values`` maps each state of q's SCC that delta(q) refers to onto
-        its value at the next position; ``accepting`` holds the states that
-        accept there (bit ``state_pos[q]``), of which only those outside
-        q's SCC are read.  A letter test or an outside state evaluates to
-        inf when its truth equals q's polarity, else to 0.  May return 0;
-        the lifting in :meth:`scc_entry` restores the 1..|S| range.
-        """
-        waa, pos = self.waa, self.state_pos
-        recurring = waa.is_recurring(q)
-        q_scc = waa.scc_of(q)
-
-        def atom(c):
-            if isinstance(c, LetterSet):
-                holds = letter in c.letters
-            elif waa.scc_of(c.state) == q_scc:
-                return values[c.state]
-            else:
-                holds = bool(accepting >> pos[c.state] & 1)
-            return INF if holds == recurring else 0
-
-        if recurring:
-            return fold(waa.delta[q], atom, max, min)
-        return fold(waa.delta[q], atom, min, max)
+        return math.prod((scc.size + 1) ** scc.size for scc in self.waa.sccs)
 
     def scc_table(self, s: int) -> SccTable:
         """SCC s's value table, built on first use."""
@@ -153,29 +127,61 @@ class BackwardDetAutomaton:
         return table
 
     def scc_row(self, s: int, letter: str, outside: int) -> list:
-        """SCC s's step row for ``letter`` and the outside acceptance bits
-        ``outside``, made on first use; an entry is None until
-        :meth:`scc_entry` fills it."""
-        return self.scc_memo[s].setdefault((letter, outside), [None] * len(self.scc_table(s).values))
+        """Build SCC s's step row for ``letter`` and the outside acceptance
+        bits ``outside`` into ``scc_memo[s]`` (callers look there first):
+        entry ``code`` holds (successor code, fired bits, critical value).
 
-    def scc_entry(self, s: int, letter: str, outside: int, code: int) -> tuple:
-        """Fill entry ``code`` of the row :meth:`scc_row` made for (s, letter,
-        outside) and return it: (successor code, fired bits, critical value)."""
-        scc, table = self.waa.sccs[s], self.scc_tables[s]
-        values = dict(zip(scc.states, table.values[code]))
-        tilde = [self.eval_condition(q, letter, values, outside) for q in scc.states]
-        finite = {v for v in tilde if v != INF}
-        m = 0
-        while m in finite:
-            m += 1
-        lifted = tilde if m == 0 else [v if v > m else v + 1 for v in tilde]
-        # (S,i) fires when the lifting bumps every value at level <= i
-        # (i <= m) or no finite value at level >= i survives at all;
-        # either way no value chain can sit at level i across this step
-        fired = sum(1 << (i - 1) for i in range(1, scc.size + 1)
-                    if i <= m or not any(v != INF and v >= i for v in lifted))
-        got = self.scc_memo[s][(letter, outside)][code] = (table.code[tuple(lifted)], fired, m)
-        return got
+        Each state's condition is folded once over value columns, one entry
+        per code.  An own state is its column of the table's values; a
+        letter test or an outside state is the shared column ``inf`` when
+        its truth equals the state's polarity, else ``zero``, which under
+        max and min absorbs the other side or drops out.  Each code's
+        intermediate values, which may hold 0, are then lifted around the
+        critical value m, the least natural number missing among them.
+        """
+        waa, pos = self.waa, self.state_pos
+        scc, table = waa.sccs[s], self.scc_table(s)
+        n = len(table.values)
+        inf, zero = [INF] * n, [0] * n
+        own = dict(zip(scc.states, zip(*table.values)))
+
+        def pointwise(f, absorbing, neutral):
+            def combine(a, b):
+                if a is absorbing or b is neutral:
+                    return a
+                if b is absorbing or a is neutral:
+                    return b
+                return list(map(f, a, b))
+            return combine
+
+        def atom(c):
+            if isinstance(c, LetterSet):
+                holds = letter in c.letters
+            elif c.state in own:
+                return own[c.state]
+            else:
+                holds = bool(outside >> pos[c.state] & 1)
+            return inf if holds == scc.recurring else zero
+
+        lub, glb = pointwise(max, inf, zero), pointwise(min, zero, inf)
+        disj, conj = (lub, glb) if scc.recurring else (glb, lub)
+        columns = [fold(waa.delta[q], atom, disj, conj) for q in scc.states]
+        full = (1 << scc.size) - 1
+        row = []
+        for tilde in zip(*columns):
+            finite = set(tilde)
+            finite.discard(INF)
+            m = 0
+            while m in finite:
+                m += 1
+            lifted = tilde if m == 0 else tuple([v if v > m else v + 1 for v in tilde])
+            # (S,i) fires when the lifting bumps every value at level <= i
+            # (i <= m) or no finite value reaches level i (i > top; above m
+            # the lifting moves nothing); either way no chain sits at level i
+            top = max(finite, default=0)
+            row.append((table.code[lifted], (1 << m) - 1 | full >> top << top, m))
+        self.scc_memo[s][(letter, outside)] = row
+        return row
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:
         """rho(letter, family) together with critical values and fired sets."""
@@ -183,7 +189,12 @@ class BackwardDetAutomaton:
         accepting = 0
         for s, table in enumerate(self.scc_tables):
             table = table or self.scc_table(s)
-            code = table.code[tuple([family[p] for p in table.positions])]
+            own = tuple([family[p] for p in table.positions])
+            code = table.code.get(own)
+            if code is None:
+                scc = self.waa.sccs[s]
+                q, v = next(qv for qv in zip(scc.states, own) if qv[1] not in (*range(1, scc.size + 1), INF))
+                raise ValueError(f"state {q} has value {v!r}, outside {{1..{scc.size}, inf}}")
             accepting |= table.accepting[code]
             codes.append(code)
         result = [None] * len(family)
@@ -192,7 +203,7 @@ class BackwardDetAutomaton:
         for s, table in enumerate(self.scc_tables):
             outside = accepting & self.outside_mask[s]
             row = self.scc_memo[s].get((letter, outside)) or self.scc_row(s, letter, outside)
-            code, bits, m = row[codes[s]] or self.scc_entry(s, letter, outside, codes[s])
+            code, bits, m = row[codes[s]]
             for p, v in zip(table.positions, table.values[code]):
                 result[p] = v
             fired += table.fired[bits]
@@ -209,17 +220,11 @@ class BackwardDetAutomaton:
         bound = self.state_space_bound
         if bound > cap:
             raise StateSpaceCapError(bound, cap)
-        domains = []
-        for q in self.waa.states:
-            size = self.waa.sccs[self.waa.scc_of(q)].size
-            domains.append(list(range(1, size + 1)) + [INF])
-        return list(itertools.product(*domains))
+        sizes = [self.waa.sccs[self.waa.scc_of(q)].size for q in self.waa.states]
+        return list(itertools.product(*[[*range(1, size + 1), INF] for size in sizes]))
 
     def format_family(self, family: ValueFamily) -> str:
-        parts = []
-        for q, v in zip(self.waa.states, family):
-            parts.append(f"{q}={'inf' if v == INF else int(v)}")
-        return " ".join(parts)
+        return " ".join(f"{q}={'inf' if v == INF else int(v)}" for q, v in zip(self.waa.states, family))
 
 
 def basic_step(waa: WeakAlternatingAutomaton, letter: str, family: ValueFamily) -> ValueFamily:

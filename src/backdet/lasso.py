@@ -187,10 +187,11 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     SCC.
 
     The run keeps one acceptance mask per position, so SCC s fetches its n
-    step rows (:meth:`BackwardDetAutomaton.scc_row`) once, and a period is
-    |v| list indexings.  The cost is a sum over SCCs of (m+1)^m * |v| such
-    indexings, not a product; :func:`count_final_candidates` is the
-    product-space reference.
+    step rows once from ``bda.scc_memo[s]``; a missing row is built whole,
+    all (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and kept.
+    A period is then |v| list indexings, and the search a sum over SCCs of
+    (m+1)^m * |v| indexings, not a product; :func:`count_final_candidates`
+    is the product-space reference.
     """
     waa = bda.waa
     n, loop = w.positions, w.loop_start
@@ -205,18 +206,18 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
         need[s] |= 1 << (i - 1)
     for s, scc in enumerate(waa.sccs):
         table = bda.scc_table(s)
-        # the row, letter and outside bits of the step into each position
+        # the row of the step into each position
         memo, mask = bda.scc_memo[s], bda.outside_mask[s]
         steps = []
         for letter, j in zip(letters, succ):
             key = (letter, accepting[j] & mask)
-            steps.append((memo.get(key) or bda.scc_row(s, *key), *key))
+            steps.append(memo.get(key) or bda.scc_row(s, *key))
         period_steps = steps[loop:][::-1]
 
         def period(code):
             got = 0
-            for row, letter, outside in period_steps:
-                code, bits, _ = row[code] or bda.scc_entry(s, letter, outside, code)
+            for row in period_steps:
+                code, bits, _ = row[code]
                 got |= bits
             return code, got
 
@@ -239,8 +240,7 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
             )
         code = finals[0]
         for i in range(n - 1, -1, -1):
-            row, letter, outside = steps[i]
-            code, bits, m = row[code] or bda.scc_entry(s, letter, outside, code)
+            code, bits, m = steps[i][code]
             accepting[i] |= table.accepting[code]
             family = families[i]
             for p, v in zip(table.positions, table.values[code]):

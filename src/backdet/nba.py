@@ -248,7 +248,3 @@ def nba_to_bda(nba: NBA) -> NbaPipelineResult:
     waa, initial_states = nutl.nutl_to_waa_optimized(list(table.final_tuple), nba.alphabet)
     bda = BackwardDetAutomaton(waa)
     return NbaPipelineResult(nba, table, waa, initial_states, bda)
-
-
-def nba_language_member(nba: NBA, w: LassoWord) -> bool:
-    return any(nba_accepts_lasso(nba, w, q, 0) for q in sorted(nba.initial))

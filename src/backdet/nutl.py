@@ -76,11 +76,11 @@ class Fix(NutlFormula):
         if kind not in (MU, NU):
             raise ValueError(f"fix kind must be '{MU}' or '{NU}'")
         if len(vars) != len(bodies):
-            raise ValueError("variable vector and body vector differ in length")
+            raise ValueError(f"{len(vars)} fix variables but {len(bodies)} bodies")
         if len(set(vars)) != len(vars):
             raise ValueError("fix variables must be distinct")
         if not 0 <= index < len(vars):
-            raise ValueError(f"fix index {index} out of range")
+            raise ValueError(f"fix index {index} out of range for {len(vars)} variables")
         return kind, index, vars, bodies
 
 
@@ -149,13 +149,10 @@ class _NutlParser(TokenCursor):
         for name in names:
             if name in self.alphabet:
                 raise FormatError(f"variable {name!r} clashes with an alphabet letter", at)
-        if index >= len(names):
-            raise FormatError(f"fix index {index} out of range for {len(names)} variables", at)
-        if len(set(names)) != len(names):
-            raise FormatError("fix variables must be distinct", at)
-        if len(bodies) != len(names):
-            raise FormatError(f"{len(names)} fix variables but {len(bodies)} bodies", at)
-        return Fix(kind, index, tuple(names), tuple(bodies))
+        try:
+            return Fix(kind, index, tuple(names), tuple(bodies))
+        except ValueError as e:
+            raise FormatError(str(e), at) from None
 
 
 def parse_nutl(text: str, alphabet: Alphabet) -> NutlFormula:
@@ -429,7 +426,9 @@ def _alphabet_of(nodes) -> Alphabet:
 
 def dual_nutl(f: NutlFormula) -> NutlFormula:
     """De Morgan dual: complements the defined language; an involution.
-    Each distinct subformula is dualized once."""
+    Each distinct subformula is dualized once.  The dual keeps the variable
+    names, so a tuple holding a formula and its dual binds each name twice,
+    and ``nutl_to_waa([phi, dual_nutl(phi)])`` rejects it."""
 
     @functools.cache
     def dual(f):

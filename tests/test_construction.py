@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
-from backdet.automata import Alphabet, LetterSet, NextState, Or, WeakAlternatingAutomaton
+from backdet.automata import Alphabet, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
 from backdet.construction import INF, BackwardDetAutomaton, basic_step
 from backdet.errors import StateSpaceCapError
+from backdet.validation import random_waa
 
 AB = Alphabet(("a", "b"))
 
@@ -31,6 +35,68 @@ def test_step_examples_eventually():
     assert rec.result == (1,)
     assert rec.critical == (0,)
     assert rec.fired == frozenset()
+
+
+def test_step_rejects_values_outside_the_scc_range():
+    bda = BackwardDetAutomaton(eventually_a())
+    for bad in (0, 2, -1):
+        with pytest.raises(ValueError, match=r"state q has value .*, outside \{1\.\.1, inf\}"):
+            bda.step("a", (bad,))
+
+
+def _reference_entry(bda, s, letter, outside, own):
+    # the definition, one code at a time: each state's condition as a scalar
+    # fold (a letter test or an outside state is inf when its truth equals
+    # the polarity, else 0), the lifting around the least missing natural
+    # m, and (S,i) fired when i <= m or no finite lifted value is >= i
+    waa = bda.waa
+    scc = waa.sccs[s]
+    values = dict(zip(scc.states, own))
+
+    def atom(c):
+        if isinstance(c, LetterSet):
+            holds = letter in c.letters
+        elif c.state in values:
+            return values[c.state]
+        else:
+            holds = bool(outside >> bda.state_pos[c.state] & 1)
+        return INF if holds == scc.recurring else 0
+
+    disj, conj = (max, min) if scc.recurring else (min, max)
+    tilde = [fold(waa.delta[q], atom, disj, conj) for q in scc.states]
+    m = 0
+    while m in tilde:
+        m += 1
+    lifted = tuple(v if v > m else v + 1 for v in tilde)
+    fired = sum(1 << (i - 1) for i in range(1, scc.size + 1)
+                if i <= m or not any(v != INF and v >= i for v in lifted))
+    return bda.scc_table(s).code[lifted], fired, m
+
+
+def test_step_rows_match_the_definition():
+    # every entry of every row, for every letter and every subset of the
+    # outside states an SCC reads, on random weak automata with SCCs of up
+    # to 4 states: successor code, fired bits and critical value
+    rng = random.Random(5)
+    sizes = set()
+    automata = 0
+    while automata < 150:
+        waa = random_waa(rng, AB, rng.randint(1, 6))
+        if max(scc.size for scc in waa.sccs) > 4:
+            continue
+        automata += 1
+        bda = BackwardDetAutomaton(waa)
+        for s, scc in enumerate(waa.sccs):
+            sizes.add(scc.size)
+            mask = bda.outside_mask[s]
+            bits = [(0, 1 << p) for p in range(len(waa.states)) if mask >> p & 1]
+            for letter, chosen in itertools.product(AB, itertools.product(*bits)):
+                outside = sum(chosen)
+                row = bda.scc_row(s, letter, outside)
+                assert bda.scc_memo[s][(letter, outside)] is row
+                for code, own in enumerate(bda.scc_table(s).values):
+                    assert row[code] == _reference_entry(bda, s, letter, outside, own), (s, letter, outside, own)
+    assert sizes == {1, 2, 3, 4}
 
 
 def test_buchi_count_equals_state_count():

@@ -284,7 +284,7 @@ def test_step_memo_stays_within_its_bound():
             assert 0 < len(rows) <= len(AB) * 2 ** bin(mask).count("1")
             for (letter, outside), row in rows.items():
                 assert letter in AB.letters and outside & ~mask == 0
-                assert len(row) == (scc.size + 1) ** scc.size
+                assert len(row) == (scc.size + 1) ** scc.size and None not in row
             assert len(bda.scc_tables[s].values) == (scc.size + 1) ** scc.size
         assert set(vars(bda)) == {"waa", "state_pos", "buchi_indices", "outside_mask", "scc_tables", "scc_memo"}
 
