@@ -14,7 +14,7 @@ from .automata import Alphabet, is_very_weak
 from .construction import BackwardDetAutomaton
 from .dot import period_graph_to_dot, waa_to_dot
 from .errors import FormatError, SemanticError, StateSpaceCapError
-from .formats import format_bda, format_waa, parse_lasso, parse_nba, parse_waa
+from .formats import _split_lines, format_bda, format_waa, parse_lasso, parse_nba, parse_waa
 from .lasso import bda_final_run, waa_accept_table
 from .ltl import parse_ltl
 from . import ltl as ltl_mod, nutl, validation
@@ -57,9 +57,12 @@ def cmd_ltl2waa(args):
 def cmd_nutl2waa(args):
     # the parser needs the alphabet to tell letters from variables
     alphabet = Alphabet(tuple(args.alphabet))
-    text = _read(args.input)
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    roots = [nutl.parse_nutl(ln, alphabet) for ln in lines if ln]
+    roots = []
+    for lineno, line in _split_lines(_read(args.input)):
+        try:
+            roots.append(nutl.parse_nutl(line, alphabet))
+        except FormatError as e:
+            raise FormatError(e.reason, f"line {lineno}, formula offset {e.position}") from None
     translate = nutl.nutl_to_waa_optimized if args.optimized else nutl.nutl_to_waa
     waa, initial_states = translate(roots, alphabet)
     out = format_waa(waa)

@@ -138,8 +138,12 @@ class BackwardDetAutomaton:
         max and min absorbs the other side or drops out.  Each code's
         intermediate values, which may hold 0, are then lifted around the
         critical value m, the least natural number missing among them.
+        A letter outside the alphabet raises ValueError, so the memo keeps
+        its bound.
         """
         waa, pos = self.waa, self.state_pos
+        if letter not in waa.alphabet:
+            raise ValueError(f"letter {letter!r} not in the alphabet {' '.join(waa.alphabet)}")
         scc, table = waa.sccs[s], self.scc_table(s)
         n = len(table.values)
         inf, zero = [INF] * n, [0] * n
@@ -184,7 +188,11 @@ class BackwardDetAutomaton:
         return row
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:
-        """rho(letter, family) together with critical values and fired sets."""
+        """rho(letter, family) together with critical values and fired sets;
+        ValueError for a family of the wrong length or with a value outside
+        its SCC's range, or a letter outside the alphabet."""
+        if len(family) != len(self.state_pos):
+            raise ValueError(f"family has {len(family)} values, expected {len(self.state_pos)}")
         codes = []
         accepting = 0
         for s, table in enumerate(self.scc_tables):

@@ -29,8 +29,6 @@ empty ('; a b').
 
 from __future__ import annotations
 
-import re
-
 from .automata import Alphabet, And, Condition, LetterSet, NextState, Or, WeakAlternatingAutomaton
 from .cursor import TokenCursor
 from .errors import FormatError
@@ -38,27 +36,16 @@ from .lasso import LassoWord
 from .nba import NBA
 
 
-_COND_TOKEN = re.compile(r"[\[\]()&|]|[^\s\[\]()&|]+")
-
-
 class _CondParser(TokenCursor):
+    token = r"[\[\]()&|]|[^\s\[\]()&|]+"
+    what = "condition"
+    Or, And = Or, And
+
     def __init__(self, text, alphabet, states):
-        super().__init__(text, _COND_TOKEN, "condition")
-        self.alphabet = alphabet
+        super().__init__(text, alphabet)
         self.states = states
 
-    def parse(self):
-        c = self.parse_or()
-        self.end()
-        return c
-
-    def parse_or(self):
-        return self.chain("|", self.parse_and, Or)
-
-    def parse_and(self):
-        return self.chain("&", self.parse_atom, And)
-
-    def parse_atom(self):
+    def operand(self):
         at = self.pos()
         tok = self.take()
         if tok == "(":

@@ -8,7 +8,6 @@ alternating automaton with one state per distinct subformula.
 from __future__ import annotations
 
 import functools
-import re
 
 from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
 from .cursor import TokenCursor
@@ -57,8 +56,6 @@ class Release(LtlFormula):
     __slots__ = ("left", "right")
 
 
-_TOKEN = re.compile(r"[()!&|]|[A-Za-z_][A-Za-z0-9_]*")
-
 _UNARY = {"X": Next, "F": Eventually, "G": Always}
 _BINARY = {"U": Until, "R": Release}
 
@@ -66,26 +63,14 @@ _BINARY = {"U": Until, "R": Release}
 class _LtlParser(TokenCursor):
     """Precedence (loosest first): |, &, U/R (right-assoc), unary X F G."""
 
-    def __init__(self, text, alphabet):
-        super().__init__(text, _TOKEN, "formula")
-        self.alphabet = alphabet
+    token = r"[()!&|]|[A-Za-z_][A-Za-z0-9_]*"
+    Or, And = Or, And
 
-    def parse(self):
-        f = self.parse_or()
-        self.end()
-        return f
-
-    def parse_or(self):
-        return self.chain("|", self.parse_and, Or)
-
-    def parse_and(self):
-        return self.chain("&", self.parse_binary_temporal, And)
-
-    def parse_binary_temporal(self):
+    def operand(self):
         f = self.parse_unary()
         if self.peek() in _BINARY:
             op = _BINARY[self.take()]
-            return op(f, self.parse_binary_temporal())
+            return op(f, self.operand())
         return f
 
     def parse_unary(self):
@@ -97,8 +82,6 @@ class _LtlParser(TokenCursor):
 
     def parse_atom(self):
         tok = self.peek()
-        if tok is None:
-            raise FormatError("unexpected end of formula", self.pos())
         if tok == "(":
             self.take()
             f = self.parse_or()

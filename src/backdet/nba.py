@@ -202,11 +202,8 @@ def build_rank_formulas(nba: NBA) -> RankFormulaTable:
         for j in range(n):
             if i == 0:
                 body = letter_term(0, j)
-            elif i % 2 == 1:
-                if nba.states[j] in nba.buchi:
-                    body = chi[i - 1][j]
-                else:
-                    body = nutl.Or(chi[i - 1][j], letter_term(i, j))
+            elif i % 2 == 1 and nba.states[j] in nba.buchi:
+                body = chi[i - 1][j]
             else:
                 body = nutl.Or(chi[i - 1][j], letter_term(i, j))
             bodies.append(body)

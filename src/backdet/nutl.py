@@ -85,54 +85,34 @@ class Fix(NutlFormula):
 
 
 _FIX_NAME = re.compile(r"^(mu|nu)_(\d+)$")
-_TOKEN = re.compile(r"[().;,|&!]|[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _NutlParser(TokenCursor):
-    def __init__(self, text, alphabet):
-        super().__init__(text, _TOKEN, "formula")
-        self.alphabet = alphabet
+    token = r"[().;,|&!]|[A-Za-z_][A-Za-z0-9_]*"
+    Or, And = Or, And
 
-    def parse(self):
-        f = self.parse_or()
-        self.end()
-        return f
-
-    def parse_or(self):
-        return self.chain("|", self.parse_and, Or)
-
-    def parse_and(self):
-        return self.chain("&", self.parse_atom, And)
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok is None:
-            raise FormatError("unexpected end of formula", self.pos())
+    def operand(self):
+        at = self.pos()
+        tok = self.take()
         if tok == "(":
-            self.take()
             f = self.parse_or()
             self.take(")")
             return f
         if tok == "!":
-            self.take()
             name = self.take()
             if name not in self.alphabet:
                 raise FormatError(f"negation is only allowed on letters, got {name!r}", self.pos())
             return NegLetter(name)
         if tok == "O":
-            self.take()
-            return Next(self.parse_atom())
+            return Next(self.operand())
         m = _FIX_NAME.match(tok)
         if m:
-            return self.parse_fix(m.group(1), int(m.group(2)))
-        self.take()
+            return self.parse_fix(m.group(1), int(m.group(2)), at)
         if tok in self.alphabet:
             return Letter(tok)
         return Var(tok)
 
-    def parse_fix(self, kind, index):
-        at = self.pos()
-        self.take()
+    def parse_fix(self, kind, index, at):
         self.take("(")
         names = [self.take()]
         while self.peek() == ",":

@@ -6,6 +6,7 @@ import pytest
 from backdet.automata import Alphabet, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
 from backdet.construction import INF, BackwardDetAutomaton, basic_step
 from backdet.errors import StateSpaceCapError
+from backdet.lasso import LassoWord, bda_final_run
 from backdet.validation import random_waa
 
 AB = Alphabet(("a", "b"))
@@ -42,6 +43,22 @@ def test_step_rejects_values_outside_the_scc_range():
     for bad in (0, 2, -1):
         with pytest.raises(ValueError, match=r"state q has value .*, outside \{1\.\.1, inf\}"):
             bda.step("a", (bad,))
+    for family in ((1, 1), ()):
+        with pytest.raises(ValueError, match=f"family has {len(family)} values, expected 1"):
+            bda.step("a", family)
+
+
+def test_foreign_letters_are_rejected_before_a_row_is_kept():
+    # rows are memoized per letter, so a letter outside the alphabet would
+    # push scc_memo past its bound of |alphabet| * 2^e rows per SCC
+    bda = BackwardDetAutomaton(eventually_a())
+    with pytest.raises(ValueError, match="letter 'c' not in the alphabet a b"):
+        bda.step("c", (1,))
+    for k in range(50):
+        with pytest.raises(ValueError, match=f"letter 'x{k}' not in the alphabet"):
+            bda_final_run(bda, LassoWord(("a",), (f"x{k}",)))
+    assert bda_final_run(bda, LassoWord((), ("a",))).families == ((1,),)
+    assert len(bda.scc_memo[0]) <= len(AB)
 
 
 def _reference_entry(bda, s, letter, outside, own):
