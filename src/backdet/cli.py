@@ -105,9 +105,8 @@ def cmd_run(args):
     table = waa_accept_table(waa, w)
     print(f"word: {w}")
     for i in range(w.positions):
-        rec = run.records[i]
-        fired = " ".join(f"({s},{k})" for s, k in sorted(rec.fired))
-        out = sorted(bda.output(run.families[i]))
+        fired = " ".join(f"({s},{k})" for s, k in sorted(run.record(bda, i).fired))
+        out = sorted(run.output(bda, i))
         oracle = sorted(q for q in waa.states if table[(i, q)])
         marker = "" if out == oracle else "   << MISMATCH"
         print(f"pos {i} letter {w.letter(i)}")
@@ -116,7 +115,7 @@ def cmd_run(args):
         print(f"  output: {{{', '.join(out)}}}")
         print(f"  oracle: {{{', '.join(oracle)}}}{marker}")
     if waa.initial is not None:
-        member = bool(waa.initial & bda.output(run.families[0]))
+        member = bool(waa.initial & run.output(bda, 0))
         print(f"accepted from initial set: {member}")
     return EXIT_OK
 

@@ -80,11 +80,13 @@ def format_condition(cond: Condition, parent_and: bool = False) -> str:
         return "[" + " ".join(sorted(cond.letters)) + "]"
     if isinstance(cond, NextState):
         return f"X {cond.state}"
-    if isinstance(cond, And):
-        return f"{format_condition(cond.left, True)} & {format_condition(cond.right, True)}"
-    if isinstance(cond, Or):
-        text = f"{format_condition(cond.left)} | {format_condition(cond.right)}"
-        return f"({text})" if parent_and else text
+    if isinstance(cond, (And, Or)):
+        conj = isinstance(cond, And)
+        right = format_condition(cond.right, conj)
+        if type(cond.right) is type(cond):  # a chain groups to the left
+            right = f"({right})"
+        text = f"{format_condition(cond.left, conj)} {'&' if conj else '|'} {right}"
+        return f"({text})" if parent_and and not conj else text
     raise TypeError(f"not a condition: {cond!r}")
 
 
@@ -175,9 +177,11 @@ def format_nba(nba: NBA) -> str:
 
 
 def parse_lasso(text: str, alphabet: Alphabet | None = None) -> LassoWord:
-    if ";" not in text:
+    u_text, sep, v_text = text.partition(";")
+    if not sep:
         raise FormatError("lasso must be written 'u ; v'")
-    u_text, v_text = text.split(";", 1)
+    if ";" in v_text:
+        raise FormatError("lasso has a second ';'", text.index(";", len(u_text) + 1))
     prefix = tuple(u_text.split())
     period = tuple(v_text.split())
     if not period:

@@ -134,20 +134,24 @@ def waa_accepts_lasso(waa: WeakAlternatingAutomaton, q: str, w: LassoWord, i: in
 class BackwardRun:
     """The unique final run of a backward deterministic automaton on a lasso.
 
-    ``families[i]`` is the automaton state at quotient position i and
-    ``records[i]`` the transition producing it from the successor position.
+    ``families[i]`` is the automaton state at quotient position i, and
+    ``accepting[i]`` its lambda as a state mask (bit ``bda.state_pos[q]``).
+    :meth:`record` rebuilds the transition into position i by ``bda.step``.
     """
 
     word: LassoWord
     families: tuple
-    records: tuple
-    cycle_length: int
+    accepting: tuple
+
+    def record(self, bda: BackwardDetAutomaton, i: int) -> TransitionRecord:
+        return bda.step(self.word.letter(i), self.families[self.word.succ(i)])
 
     def output(self, bda: BackwardDetAutomaton, i: int) -> frozenset:
-        return bda.output(self.families[i])
+        mask = self.accepting[i]
+        return frozenset(q for q, p in bda.state_pos.items() if mask >> p & 1)
 
     def outputs(self, bda: BackwardDetAutomaton) -> list:
-        return [bda.output(f) for f in self.families]
+        return [self.output(bda, i) for i in range(len(self.families))]
 
 
 def _final_candidates(starts, period, need):
@@ -186,9 +190,11 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     than one :class:`MultipleFinalRunsError`, both naming the word and the
     SCC.
 
-    The run keeps one acceptance mask per position, so SCC s fetches its n
-    step rows once from ``bda.scc_memo[s]``; a missing row is built whole,
-    all (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and kept.
+    The run keeps the families and one acceptance mask per position
+    (``BackwardRun.accepting``, which gives its outputs), so SCC s fetches
+    its n step rows once from ``bda.scc_memo[s]``; a missing row is built
+    whole, all (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and
+    kept.  ``BackwardRun.record`` rebuilds fired sets and critical values.
     A period is then |v| list indexings, and the search a sum over SCCs of
     (m+1)^m * |v| indexings, not a product; :func:`count_final_candidates`
     is the product-space reference.
@@ -198,8 +204,6 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     letters = [w.letter(i) for i in range(n)]
     succ = [w.succ(i) for i in range(n)]
     families = [[None] * len(waa.states) for _ in range(n)]
-    fired = [[] for _ in range(n)]
-    critical = [[] for _ in range(n)]
     accepting = [0] * n  # the settled states that accept at each position
     need = [0] * len(waa.sccs)
     for s, i in bda.buchi_indices:
@@ -240,19 +244,12 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
             )
         code = finals[0]
         for i in range(n - 1, -1, -1):
-            code, bits, m = steps[i][code]
+            code = steps[i][code][0]
             accepting[i] |= table.accepting[code]
             family = families[i]
             for p, v in zip(table.positions, table.values[code]):
                 family[p] = v
-            fired[i] += table.fired[bits]
-            critical[i].append(m)
-    families = [tuple(f) for f in families]
-    records = tuple(
-        TransitionRecord(letters[i], families[succ[i]], families[i], frozenset(fired[i]), tuple(critical[i]))
-        for i in range(n)
-    )
-    return BackwardRun(w, tuple(families), records, len(w.period))
+    return BackwardRun(w, tuple(map(tuple, families)), tuple(accepting))
 
 
 def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:
@@ -333,7 +330,7 @@ def language_member(automaton, w: LassoWord) -> bool:
         if waa.initial is None:
             raise SemanticError("automaton has no initial set")
         run = bda_final_run(automaton, w)
-        return bool(waa.initial & automaton.output(run.families[0]))
+        return bool(waa.initial & run.output(automaton, 0))
     waa = automaton
     if waa.initial is None:
         raise SemanticError("automaton has no initial set")

@@ -224,7 +224,7 @@ class NbaPipelineResult:
 
     def accepting_states(self, run, position: int = 0) -> set:
         """NBA states accepting the suffix, read off the final run output."""
-        out = self.bda.output(run.families[position])
+        out = run.output(self.bda, position)
         return {
             self.nba.states[j]
             for j, name in enumerate(self.initial_states)

@@ -108,16 +108,25 @@ class _NutlParser(TokenCursor):
         m = _FIX_NAME.match(tok)
         if m:
             return self.parse_fix(m.group(1), int(m.group(2)), at)
+        if not tok.isidentifier():
+            raise FormatError(f"unexpected token {tok!r}", at)
         if tok in self.alphabet:
             return Letter(tok)
         return Var(tok)
 
+    def name(self):
+        """A fix variable, which must be an identifier."""
+        at, tok = self.pos(), self.take()
+        if not tok.isidentifier():
+            raise FormatError(f"expected a variable, got {tok!r}", at)
+        return tok
+
     def parse_fix(self, kind, index, at):
         self.take("(")
-        names = [self.take()]
+        names = [self.name()]
         while self.peek() == ",":
             self.take()
-            names.append(self.take())
+            names.append(self.name())
         self.take(")")
         self.take(".")
         self.take("(")

@@ -261,7 +261,7 @@ def check_nutl(
                 report.fail(formula=nutl.format_nutl(phi), word=str(w), reason=str(e))
                 continue
             for i in range(w.positions):
-                if (init in bda.output(run.families[i])) != (i in truth):
+                if (init in run.output(bda, i)) != (i in truth):
                     report.fail(formula=nutl.format_nutl(phi), word=str(w), position=i,
                                 reason="backward outputs differ from Kleene semantics")
             if waa_opt is not None:

@@ -1,6 +1,8 @@
 """The names other code binds: the package's public API, and the module
 attributes that perfbench/run.py reads or patches.  A rename fails here."""
 
+import dataclasses
+
 import backdet
 from backdet import automata, construction, lasso, ltl, nba, nutl
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton
@@ -26,6 +28,14 @@ def test_public_names():
     assert backdet.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(backdet, name), name
+
+
+def test_backward_run_holds_families_and_acceptance_masks():
+    # records are rebuilt on demand through step, outputs decoded from masks
+    fields = tuple(f.name for f in dataclasses.fields(backdet.BackwardRun))
+    assert fields == ("word", "families", "accepting")
+    for method in ("record", "output", "outputs"):
+        assert callable(getattr(backdet.BackwardRun, method)), method
 
 
 def test_benchmark_bound_attributes():

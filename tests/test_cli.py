@@ -135,6 +135,14 @@ def test_nutl2waa_bad_fix_header_is_a_parse_error(tmp_path, capsys, text):
     assert err.startswith("parse error:")
 
 
+def test_nutl2waa_rejects_punctuation_as_a_variable(tmp_path, capsys):
+    src = tmp_path / "phi.txt"
+    src.write_text("mu_0 (X).(a | O X) | &\n")
+    code, _, err = run_cli(capsys, "nutl2waa", str(src), "--alphabet", "a", "b")
+    assert code == cli.EXIT_PARSE
+    assert err == "parse error: unexpected token '&' (at line 1, formula offset 21)\n"
+
+
 def test_nutl2waa_names_the_line_of_a_malformed_formula(tmp_path, capsys):
     src = tmp_path / "phi.txt"
     src.write_text("# rank formulas\nmu_0 (X).(b | (a & O X))  # ok\n  mu_0 (X).(a | O X\n")

@@ -129,10 +129,12 @@ def test_header_without_space_after_colon():
 
 
 def test_condition_format_round_trip():
-    texts = ["[a]", "X q | X p & [b]", "([a] | X q) & ([] | X p)"]
+    # a chain that nests to the right keeps its parentheses
+    texts = ["[a]", "X q | X p & [b]", "([a] | X q) & ([] | X p)", "[a] | ([b] | X q)", "X p & (X q & [a])"]
     for text in texts:
         c = parse_condition(text, AB, {"p", "q"})
-        assert parse_condition(format_condition(c), AB, {"p", "q"}) == c
+        assert parse_condition(format_condition(c), AB, {"p", "q"}) is c
+    assert format_condition(parse_condition("[a] | ([b] | X q)", AB, {"q"})) == "[a] | ([b] | X q)"
 
 
 NBA_TEXT = """\
@@ -173,6 +175,10 @@ def test_parse_lasso():
         parse_lasso("a ;", AB)
     with pytest.raises(FormatError):
         parse_lasso("; z", AB)
+    for alphabet in (AB, None):
+        with pytest.raises(FormatError) as err:
+            parse_lasso("a ; b ; c", alphabet)
+        assert (err.value.reason, err.value.position) == ("lasso has a second ';'", 6)
 
 
 def test_format_bda_header_and_table():

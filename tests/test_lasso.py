@@ -120,6 +120,16 @@ def test_self_loop_unique_final_run_empty_output():
         assert all(out == frozenset() for out in run.outputs(bda))
 
 
+def assert_outputs_and_fired(bda, run):
+    """The outputs decoded from the run's acceptance masks are lambda of its
+    families, and the loop's transitions fire every Buchi index of every
+    SCC (the final cycle has length one)."""
+    assert run.outputs(bda) == [bda.output(f) for f in run.families]
+    w = run.word
+    fired = set().union(*(run.record(bda, i).fired for i in range(w.loop_start, w.positions)))
+    assert fired >= set(bda.buchi_indices), (str(w), set(bda.buchi_indices) - fired)
+
+
 def test_final_run_matches_product_space_search():
     # the SCC-by-SCC search against the whole product space's h-cycles:
     # random weak automata with bound <= 2^12, every lasso |u| <= 2, |v| <= 2
@@ -138,11 +148,11 @@ def test_final_run_matches_product_space_search():
             cur = boundary
             for i in range(w.positions - 1, -1, -1):
                 rec = bda.step(w.letter(i), cur)
-                assert run.records[i] == rec, (str(w), i)
+                assert run.record(bda, i) == rec, (str(w), i)
                 assert run.families[i] == rec.result
                 cur = rec.result
             assert cur == run.families[0] and run.families[w.loop_start] == boundary
-            assert run.cycle_length == len(w.period)
+            assert_outputs_and_fired(bda, run)
 
 
 def test_no_final_run_error_mentions_word():
@@ -328,6 +338,7 @@ def test_final_runs_above_the_cap_of_five_state_sccs_match_the_oracle():
         for w in lassos:
             run = bda_final_run(bda, w)
             for i in range(w.positions):
-                assert run.records[i] == bda.step(w.letter(i), run.families[w.succ(i)]), (str(w), i)
+                assert run.record(bda, i) == bda.step(w.letter(i), run.families[w.succ(i)]), (str(w), i)
+            assert_outputs_and_fired(bda, run)
             report = cross_validate(waa, w, bda, run)
             assert report.ok, report.mismatches
