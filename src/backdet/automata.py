@@ -168,15 +168,6 @@ class WeakAlternatingAutomaton:
     def is_recurring(self, q: str) -> bool:
         return q in self.recurring
 
-    def dualize(self) -> "WeakAlternatingAutomaton":
-        """Complement automaton: dual conditions, polarities swapped.
-
-        The transition graph is unchanged, so weakness carries over.
-        """
-        delta = {q: dual_condition(c, self.alphabet) for q, c in self.delta.items()}
-        recurring = frozenset(self.states) - self.recurring
-        return WeakAlternatingAutomaton(self.alphabet, self.states, delta, recurring, self.initial)
-
     def __eq__(self, other):
         if not isinstance(other, WeakAlternatingAutomaton):
             return NotImplemented
@@ -221,6 +212,10 @@ def is_very_weak(waa: WeakAlternatingAutomaton) -> bool:
 
 
 def dualize(waa: WeakAlternatingAutomaton) -> WeakAlternatingAutomaton:
+    """Complement automaton: dual conditions, polarities swapped.  The
+    transition graph is unchanged, so weakness carries over."""
     if validate_weak(waa):
         raise ValueError("cannot dualize a non-weak automaton")
-    return waa.dualize()
+    delta = {q: dual_condition(c, waa.alphabet) for q, c in waa.delta.items()}
+    recurring = frozenset(waa.states) - waa.recurring
+    return WeakAlternatingAutomaton(waa.alphabet, waa.states, delta, recurring, waa.initial)

@@ -56,8 +56,29 @@ class Release(LtlFormula):
     __slots__ = ("left", "right")
 
 
-_UNARY = {"X": Next, "F": Eventually, "G": Always}
-_BINARY = {"U": Until, "R": Release}
+# Each node class: its symbol (parser, format_ltl), state-name tag (_compact)
+# and NNF dual (negate).  A letter prefixes its name with the first two;
+# operators come in random_ltl's choice order.
+_TABLE = {
+    Letter: ("", "", NegLetter),
+    NegLetter: ("!", "not_", Letter),
+    Next: ("X", "X", Next),
+    Eventually: ("F", "F", Always),
+    Always: ("G", "G", Eventually),
+    Until: ("U", "U", Release),
+    Release: ("R", "R", Until),
+    And: ("&", "and", Or),
+    Or: ("|", "or", And),
+}
+_OPERATORS = {sym: c for c, (sym, _, _) in _TABLE.items() if c not in (Letter, NegLetter)}
+_UNARY = {sym: c for sym, c in _OPERATORS.items() if c.__slots__ == ("operand",)}
+_BINARY = {sym: c for sym, c in _OPERATORS.items() if c not in (*_UNARY.values(), And, Or)}
+
+
+def _entry(f) -> tuple:
+    if type(f) not in _TABLE:
+        raise TypeError(f"not an LTL formula: {f!r}")
+    return _TABLE[type(f)]
 
 
 class _LtlParser(TokenCursor):
@@ -68,42 +89,34 @@ class _LtlParser(TokenCursor):
 
     def operand(self):
         f = self.parse_unary()
-        if self.peek() in _BINARY:
-            op = _BINARY[self.take()]
-            return op(f, self.operand())
+        if self.peek() in _BINARY:  # U and R; the shared grammar reads | and &
+            return _BINARY[self.take()](f, self.operand())
         return f
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok in _UNARY:
-            self.take()
-            return _UNARY[tok](self.parse_unary())
+        if self.peek() in _UNARY:
+            return _UNARY[self.take()](self.parse_unary())
         return self.parse_atom()
 
     def parse_atom(self):
-        tok = self.peek()
+        tok, at = self.peek(), self.pos()
         if tok == "(":
             self.take()
             f = self.parse_or()
             self.take(")")
             return f
-        if tok == "!":
-            at = self.pos()
+        negated = tok == "!"
+        if negated:
             self.take()
-            name = self.peek()
-            if name is None or name in _UNARY or name in _BINARY or not name.isidentifier():
+            tok = self.peek()
+            if tok is None or tok in _OPERATORS or not tok.isidentifier():
                 raise FormatError("negation is only allowed on letters", at)
-            self.take()
-            if name not in self.alphabet:
-                raise FormatError(f"unknown letter {name!r}", at)
-            return NegLetter(name)
-        if tok in _UNARY or tok in _BINARY or tok in (")", "&", "|"):
-            raise FormatError(f"unexpected token {tok!r}", self.pos())
-        at = self.pos()
+        elif tok in _OPERATORS or tok == ")":
+            raise FormatError(f"unexpected token {tok!r}", at)
         self.take()
         if tok not in self.alphabet:
             raise FormatError(f"unknown letter {tok!r}", at)
-        return Letter(tok)
+        return (NegLetter if negated else Letter)(tok)
 
 
 def parse_ltl(text: str, alphabet: Alphabet) -> LtlFormula:
@@ -111,25 +124,12 @@ def parse_ltl(text: str, alphabet: Alphabet) -> LtlFormula:
 
 
 def format_ltl(f: LtlFormula) -> str:
-    if isinstance(f, Letter):
-        return f.name
-    if isinstance(f, NegLetter):
-        return f"!{f.name}"
-    if isinstance(f, Next):
-        return f"X ({format_ltl(f.operand)})"
-    if isinstance(f, Eventually):
-        return f"F ({format_ltl(f.operand)})"
-    if isinstance(f, Always):
-        return f"G ({format_ltl(f.operand)})"
-    if isinstance(f, Or):
-        return f"({format_ltl(f.left)} | {format_ltl(f.right)})"
-    if isinstance(f, And):
-        return f"({format_ltl(f.left)} & {format_ltl(f.right)})"
-    if isinstance(f, Until):
-        return f"({format_ltl(f.left)} U {format_ltl(f.right)})"
-    if isinstance(f, Release):
-        return f"({format_ltl(f.left)} R {format_ltl(f.right)})"
-    raise TypeError(f"not an LTL formula: {f!r}")
+    sym = _entry(f)[0]
+    if len(f.children) == 2:
+        return f"({format_ltl(f.left)} {sym} {format_ltl(f.right)})"
+    if f.children:
+        return f"{sym} ({format_ltl(f.operand)})"
+    return sym + f.name
 
 
 def subformulas(f: LtlFormula) -> list[LtlFormula]:
@@ -139,40 +139,17 @@ def subformulas(f: LtlFormula) -> list[LtlFormula]:
 
 def negate(f: LtlFormula) -> LtlFormula:
     """NNF dual; test helper, not part of the surface language."""
-    if isinstance(f, Letter):
-        return NegLetter(f.name)
-    if isinstance(f, NegLetter):
-        return Letter(f.name)
-    if isinstance(f, Or):
-        return And(negate(f.left), negate(f.right))
-    if isinstance(f, And):
-        return Or(negate(f.left), negate(f.right))
-    if isinstance(f, Next):
-        return Next(negate(f.operand))
-    if isinstance(f, Eventually):
-        return Always(negate(f.operand))
-    if isinstance(f, Always):
-        return Eventually(negate(f.operand))
-    if isinstance(f, Until):
-        return Release(negate(f.left), negate(f.right))
-    if isinstance(f, Release):
-        return Until(negate(f.left), negate(f.right))
-    raise TypeError(f"not an LTL formula: {f!r}")
+    dual = _entry(f)[2]
+    return dual(*map(negate, f.children)) if f.children else dual(f.name)
 
 
 def _compact(f: LtlFormula) -> str:
-    if isinstance(f, Letter):
-        return f.name
-    if isinstance(f, NegLetter):
-        return f"not_{f.name}"
-    if isinstance(f, Next):
-        return f"X_{_compact(f.operand)}"
-    if isinstance(f, Eventually):
-        return f"F_{_compact(f.operand)}"
-    if isinstance(f, Always):
-        return f"G_{_compact(f.operand)}"
-    ops = {Or: "or", And: "and", Until: "U", Release: "R"}
-    return f"{ops[type(f)]}__{_compact(f.left)}__{_compact(f.right)}"
+    tag = _entry(f)[1]
+    if len(f.children) == 2:
+        return f"{tag}__{_compact(f.left)}__{_compact(f.right)}"
+    if f.children:
+        return f"{tag}_{_compact(f.operand)}"
+    return tag + f.name
 
 
 def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
@@ -268,17 +245,14 @@ def ltl_truth_vector(phi: LtlFormula, w: LassoWord) -> list[bool]:
 
 def random_ltl(rng, alphabet: Alphabet, size: int) -> LtlFormula:
     """Random NNF formula with at most ``size`` operator/letter nodes."""
-    letters = list(alphabet.letters)
     if size <= 1:
-        name = rng.choice(letters)
+        name = rng.choice(alphabet.letters)
         return rng.choice([Letter(name), NegLetter(name)])
     # binary nodes need at least 3 nodes of budget (node + two leaves)
-    kinds = ["X", "F", "G", "U", "R", "&", "|"] if size >= 3 else ["X", "F", "G"]
-    kind = rng.choice(kinds)
-    if kind in ("X", "F", "G"):
-        sub = random_ltl(rng, alphabet, size - 1)
-        return {"X": Next, "F": Eventually, "G": Always}[kind](sub)
+    kind = rng.choice(list((_OPERATORS if size >= 3 else _UNARY).values()))
+    if kind in _UNARY.values():
+        return kind(random_ltl(rng, alphabet, size - 1))
     left_size = rng.randint(1, size - 2)
     left = random_ltl(rng, alphabet, left_size)
     right = random_ltl(rng, alphabet, size - 1 - left_size)
-    return {"U": Until, "R": Release, "&": And, "|": Or}[kind](left, right)
+    return kind(left, right)

@@ -115,9 +115,9 @@ class _NutlParser(TokenCursor):
         return Var(tok)
 
     def name(self):
-        """A fix variable, which must be an identifier."""
+        """A fix variable: an identifier that is neither ``O`` nor a fix name."""
         at, tok = self.pos(), self.take()
-        if not tok.isidentifier():
+        if not tok.isidentifier() or tok == "O" or _FIX_NAME.match(tok):
             raise FormatError(f"expected a variable, got {tok!r}", at)
         return tok
 
@@ -413,6 +413,10 @@ def _alphabet_of(nodes) -> Alphabet:
     return Alphabet(tuple(letters))
 
 
+# De Morgan duals: of each node class that keeps its fields, and of each fixed-point kind
+_SWAP = {Letter: NegLetter, NegLetter: Letter, Or: And, And: Or, Next: Next, MU: NU, NU: MU}
+
+
 def dual_nutl(f: NutlFormula) -> NutlFormula:
     """De Morgan dual: complements the defined language; an involution.
     Each distinct subformula is dualized once.  The dual keeps the variable
@@ -421,21 +425,13 @@ def dual_nutl(f: NutlFormula) -> NutlFormula:
 
     @functools.cache
     def dual(f):
-        if isinstance(f, Letter):
-            return NegLetter(f.name)
-        if isinstance(f, NegLetter):
-            return Letter(f.name)
+        swap = _SWAP.get(type(f))
+        if swap is not None:
+            return swap(*map(dual, f.children)) if f.children else swap(f.name)
         if isinstance(f, Var):
             return f
-        if isinstance(f, Next):
-            return Next(dual(f.operand))
-        if isinstance(f, Or):
-            return And(dual(f.left), dual(f.right))
-        if isinstance(f, And):
-            return Or(dual(f.left), dual(f.right))
         if isinstance(f, Fix):
-            kind = NU if f.kind == MU else MU
-            return Fix(kind, f.index, f.vars, tuple(dual(b) for b in f.bodies))
+            return Fix(_SWAP[f.kind], f.index, f.vars, tuple(dual(b) for b in f.bodies))
         raise TypeError(f"not a nutl formula: {f!r}")
 
     return dual(f)

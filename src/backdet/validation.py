@@ -18,6 +18,7 @@ from .automata import (
     NextState,
     Or,
     WeakAlternatingAutomaton,
+    dualize,
     is_very_weak,
 )
 from .construction import INF, BackwardDetAutomaton
@@ -181,7 +182,7 @@ def check_dual(
     lassos = list(exhaustive_lassos(alphabet, u_max, v_max))
     for _ in range(count):
         waa = random_waa(rng, alphabet, rng.randint(1, max_states))
-        dual = waa.dualize()
+        dual = dualize(waa)
         for w in lassos:
             table = waa_accept_table(waa, w)
             dual_table = waa_accept_table(dual, w)

@@ -81,11 +81,11 @@ def test_mixed_scc_detected():
 
 def test_dualize_swaps_polarity_and_conditions():
     waa = _two_cycle()
-    dual = waa.dualize()
+    dual = dualize(waa)
     assert dual.recurring == frozenset({"q0", "q1"})
     assert isinstance(dual.delta["q1"], And)
     assert dual.delta["q1"].left == LetterSet({"b"})
-    assert dual.dualize() == waa
+    assert dualize(dual) == waa
 
 
 def test_validation_errors():

@@ -56,6 +56,11 @@ ERRORS = [
     ("nutl", ")", "unexpected token ')'", 0),
     ("nutl", "mu_0 (;).(O ;)", "expected a variable, got ';'", 6),
     ("nutl", "mu_0 (X,).(a)", "expected a variable, got ')'", 8),
+    # the next-step operator and fix names are not variables
+    ("nutl", "mu_0 (O).(a)", "expected a variable, got 'O'", 6),
+    ("nutl", "nu_0 (mu_1).(a)", "expected a variable, got 'mu_1'", 6),
+    ("nutl", "mu_0 (O).(a | O O)", "expected a variable, got 'O'", 6),
+    ("nutl", "mu_0 (X,nu_0).(O X; a)", "expected a variable, got 'nu_0'", 8),
     ("cond", "", "unexpected end of condition", 0),
     ("cond", " \t\n", "unexpected end of condition", 3),
     # every non-space character starts a condition token

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from backdet import nutl
 from backdet.automata import Alphabet, LetterSet, NextState, Or, is_very_weak
 from backdet.errors import FormatError
 from backdet.lasso import LassoWord, waa_accept_table
@@ -23,6 +24,7 @@ from backdet.ltl import (
     random_ltl,
     subformulas,
 )
+from backdet.validation import exhaustive_lassos
 
 AB = Alphabet(("a", "b"))
 
@@ -61,6 +63,58 @@ def test_negate_involution():
     phi = parse_ltl("(a U b) & G (b | X a)", AB)
     assert negate(negate(phi)) == phi
     assert negate(Eventually(Letter("a"))) == Always(NegLetter("a"))
+
+
+def test_negate_complements_the_truth_vector():
+    # a wrong dual in the operator table, such as U to U, fails here
+    rng = random.Random(5)
+    lassos = list(exhaustive_lassos(AB, 2, 2))
+    for _ in range(100):
+        phi = random_ltl(rng, AB, 8)
+        assert negate(negate(phi)) is phi
+        for w in lassos:
+            expected = [not t for t in ltl_truth_vector(phi, w)]
+            assert ltl_truth_vector(negate(phi), w) == expected, (format_ltl(phi), str(w))
+
+
+# (text, printed text, printed dual, initial state name) of each operator
+OPERATORS = [
+    ("a", "a", "!a", "q_a"),
+    ("!a", "!a", "a", "q_not_a"),
+    ("X a", "X (a)", "X (!a)", "q_X_a"),
+    ("F a", "F (a)", "G (!a)", "q_F_a"),
+    ("G a", "G (a)", "F (!a)", "q_G_a"),
+    ("a U b", "(a U b)", "(!a R !b)", "q_U__a__b"),
+    ("a R b", "(a R b)", "(!a U !b)", "q_R__a__b"),
+    ("a & b", "(a & b)", "(!a | !b)", "q_and__a__b"),
+    ("a | b", "(a | b)", "(!a & !b)", "q_or__a__b"),
+]
+
+
+@pytest.mark.parametrize("text, printed, dual, state", OPERATORS)
+def test_operator_text_dual_and_state_name(text, printed, dual, state):
+    phi = parse_ltl(text, AB)
+    assert format_ltl(phi) == printed
+    assert format_ltl(negate(phi)) == dual
+    assert ltl_to_waa(phi, AB).initial == {state}
+
+
+def test_state_names_are_deduplicated():
+    # the letter not_a and the negated letter !a both compact to not_a
+    alphabet = Alphabet(("a", "not_a"))
+    waa = ltl_to_waa(parse_ltl("not_a & !a", alphabet), alphabet)
+    assert waa.states == ("q_and__not_a__not_a", "q_not_a", "q_not_a_")
+
+
+@pytest.mark.parametrize("function, node", [
+    (format_ltl, nutl.Letter("a")),
+    (negate, nutl.Next(nutl.Letter("a"))),
+    (nutl.dual_nutl, Letter("a")),
+    (nutl.dual_nutl, Next(Letter("a"))),
+])
+def test_nodes_of_another_language_raise_type_error(function, node):
+    with pytest.raises(TypeError):
+        function(node)
 
 
 def test_subformulas_distinct_children_first():
