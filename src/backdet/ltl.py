@@ -56,7 +56,7 @@ class Release(LtlFormula):
     __slots__ = ("left", "right")
 
 
-# Each node class: its symbol (parser, format_ltl), state-name tag (_compact)
+# Each node class: its symbol (parser, format_ltl), state-name tag (_state_names)
 # and NNF dual (negate).  A letter prefixes its name with the first two;
 # operators come in random_ltl's choice order.
 _TABLE = {
@@ -143,13 +143,25 @@ def negate(f: LtlFormula) -> LtlFormula:
     return dual(*map(negate, f.children)) if f.children else dual(f.name)
 
 
-def _compact(f: LtlFormula) -> str:
-    tag = _entry(f)[1]
-    if len(f.children) == 2:
-        return f"{tag}__{_compact(f.left)}__{_compact(f.right)}"
-    if f.children:
-        return f"{tag}_{_compact(f.operand)}"
-    return tag + f.name
+def _state_names(subs) -> dict:
+    """The state name of each subformula in ``subs``, children first:
+    ``q_`` and a stem built from the node's tag and its children's stems,
+    with ``_`` appended until the name is unused."""
+    stems, names, used = {}, {}, set()
+    for g in subs:
+        tag = _entry(g)[1]
+        if len(g.children) == 2:
+            stems[g] = f"{tag}__{stems[g.left]}__{stems[g.right]}"
+        elif g.children:
+            stems[g] = f"{tag}_{stems[g.operand]}"
+        else:
+            stems[g] = tag + g.name
+        name = "q_" + stems[g]
+        while name in used:
+            name += "_"
+        used.add(name)
+        names[g] = name
+    return names
 
 
 def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
@@ -159,14 +171,7 @@ def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
     recurring; states that lie on no cycle are fixed to non-recurring.
     """
     subs = subformulas(phi)
-    names = {}
-    used = set()
-    for g in subs:
-        name = "q_" + _compact(g)
-        while name in used:
-            name += "_"
-        used.add(name)
-        names[g] = name
+    names = _state_names(subs)
 
     @functools.cache
     def build(g):

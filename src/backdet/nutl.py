@@ -10,7 +10,14 @@ appear bound by several fix nodes as long as they agree on the variable
 vector and the bodies (they may differ in the selected component).  This
 keeps the rank-formula tables compact: each vector level binds its
 variables once, and a table is a DAG whose distinct nodes grow linearly
-with its levels, though its printed text grows exponentially.
+with its levels.
+
+The text prints that DAG, not its tree: each subformula with two or more
+parents is written once, as a definition in front of the formula, and
+named after it, as in a hierarchical equation system (Cleaveland and
+Steffen, FMSD 1993).  ``@0 = (a & O (b)); (@0 | O (@0))`` is
+``(a & O b) | O (a & O b)``.  A definition uses only names defined before
+it, and a text without definitions is read as before.
 
 Cycles are detected on the dependence graph closed under an edge from each
 variable occurrence to the body it selects in its binder; guardedness
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
@@ -88,12 +96,33 @@ _FIX_NAME = re.compile(r"^(mu|nu)_(\d+)$")
 
 
 class _NutlParser(TokenCursor):
-    token = r"[().;,|&!]|[A-Za-z_][A-Za-z0-9_]*"
+    token = r"[().;,|&!=]|@\d+|[A-Za-z_][A-Za-z0-9_]*"
     Or, And = Or, And
+
+    def parse(self):
+        """Definitions ``@k = <formula>;``, then the formula."""
+        self.defs = {}
+        while self.peek() and self.peek()[0] == "@" and self.tokens[self.i + 1][0] == "=":
+            at, name = self.pos(), self.take()
+            if name in self.defs:
+                raise FormatError(f"{name} is defined twice", at)
+            self.take("=")
+            self.defs[name] = self.parse_or()
+            self.take(";")
+        return super().parse()
 
     def operand(self):
         at = self.pos()
         tok = self.take()
+        if tok[0] == "@":
+            if self.peek() == "=":
+                raise FormatError(f"definition of {tok} inside the formula", at)
+            if tok not in self.defs:
+                kinds = [t for t, _ in self.tokens]
+                if (tok, "=") in zip(kinds, kinds[1:]):
+                    raise FormatError(f"{tok} is used before its definition", at)
+                raise FormatError(f"undefined name {tok}", at)
+            return self.defs[tok]
         if tok == "(":
             f = self.parse_or()
             self.take(")")
@@ -149,6 +178,23 @@ def parse_nutl(text: str, alphabet: Alphabet) -> NutlFormula:
 
 
 def format_nutl(f: NutlFormula) -> str:
+    """The text of ``f``: each non-leaf node with two or more parents (a
+    fix counts once per body it holds) is printed once, as a definition
+    ``@k = <formula>;`` in front of the formula, and named ``@k`` after."""
+    nodes = subterms([f], children_first=True)
+    parents = Counter(c for g in nodes for c in g.children)
+    defs, text = [], {}
+    for g in nodes:
+        text[g] = _format_node(g, text)
+        if g.children and parents[g] > 1:
+            name = f"@{len(defs)}"
+            defs.append(f"{name} = {text[g]}; ")
+            text[g] = name
+    return "".join(defs) + text[f]
+
+
+def _format_node(f, text) -> str:
+    """The text of ``f`` given the texts of its children."""
     if isinstance(f, Letter):
         return f.name
     if isinstance(f, NegLetter):
@@ -156,13 +202,13 @@ def format_nutl(f: NutlFormula) -> str:
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Next):
-        return f"O ({format_nutl(f.operand)})"
+        return f"O ({text[f.operand]})"
     if isinstance(f, Or):
-        return f"({format_nutl(f.left)} | {format_nutl(f.right)})"
+        return f"({text[f.left]} | {text[f.right]})"
     if isinstance(f, And):
-        return f"({format_nutl(f.left)} & {format_nutl(f.right)})"
+        return f"({text[f.left]} & {text[f.right]})"
     if isinstance(f, Fix):
-        bodies = "; ".join(format_nutl(b) for b in f.bodies)
+        bodies = "; ".join(text[b] for b in f.bodies)
         return f"{f.kind}_{f.index} ({','.join(f.vars)}).({bodies})"
     raise TypeError(f"not a nutl formula: {f!r}")
 

@@ -16,7 +16,7 @@ from backdet.lasso import (
     count_final_candidates,
     waa_accept_table,
 )
-from backdet.ltl import _compact, ltl_to_waa, ltl_truth_vector, random_ltl, subformulas
+from backdet.ltl import _state_names, ltl_to_waa, ltl_truth_vector, random_ltl, subformulas
 from backdet.nba import nba_accepts_lasso, nba_to_bda
 from backdet.nutl import nutl_eval_lasso
 from backdet.validation import (
@@ -64,7 +64,7 @@ def test_ltl_final_run_families_are_the_subformula_truth_sets():
         phi = random_ltl(rng, AB, 8)
         waa = ltl_to_waa(phi, AB)
         bda = BackwardDetAutomaton(waa)
-        subformula = {"q_" + _compact(g): g for g in subformulas(phi)}
+        subformula = {q: g for g, q in _state_names(subformulas(phi)).items()}
         assert set(subformula) == set(waa.states)
         for w in lassos:
             truth = {q: ltl_truth_vector(g, w) for q, g in subformula.items()}

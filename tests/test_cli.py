@@ -3,7 +3,8 @@ import json
 import pytest
 
 from backdet import cli
-from backdet.formats import parse_nba, parse_waa
+from backdet.formats import format_waa, parse_nba, parse_waa
+from backdet.nba import nba_to_bda
 from backdet.nutl import parse_nutl
 from backdet.automata import Alphabet
 
@@ -97,6 +98,22 @@ def test_nba2nutl_block_count(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 1  # one tuple component per NBA state
     parse_nutl(lines[0], Alphabet(("a", "b")))
+
+
+def test_nba2nutl_text_translates_to_the_pipeline_automaton(tmp_path, capsys):
+    text = (
+        "alphabet: a b\nstates: q0 q1 q2\ninitial: q0\nbuchi: q1\n"
+        "trans q0 a q1\ntrans q0 b q0\ntrans q0 b q2\ntrans q1 a q0\ntrans q1 a q2\n"
+        "trans q1 b q1\ntrans q2 a q2\ntrans q2 b q0\ntrans q2 b q1\n"
+    )
+    nba_file, ranks, out = tmp_path / "nba.txt", tmp_path / "ranks.txt", tmp_path / "waa.txt"
+    nba_file.write_text(text)
+    assert run_cli(capsys, "nba2nutl", str(nba_file), "-o", str(ranks))[0] == 0
+    assert ranks.read_text().startswith("@0 = ")
+    code, _, _ = run_cli(capsys, "nutl2waa", "--optimized", str(ranks), "--alphabet", "a", "b", "-o", str(out))
+    assert code == 0
+    res = nba_to_bda(parse_nba(text))
+    assert out.read_text() == format_waa(res.waa) + "# components: " + " ".join(res.initial_states) + "\n"
 
 
 def test_nutl2waa_round_trip(tmp_path, capsys):

@@ -21,8 +21,8 @@ PARSERS = {
 
 # (language, text, message, offset): empty and blank text, a character no
 # token matches, trailing input, an unclosed parenthesis, an operator at the
-# end, tab and newline whitespace, '!' on a non-letter, and punctuation
-# where a name belongs
+# end, tab and newline whitespace, '!' on a non-letter, punctuation where a
+# name belongs, and misplaced definitions
 ERRORS = [
     ("ltl", "", "unexpected end of formula", 0),
     ("ltl", " \t\n", "unexpected end of formula", 3),
@@ -61,6 +61,16 @@ ERRORS = [
     ("nutl", "nu_0 (mu_1).(a)", "expected a variable, got 'mu_1'", 6),
     ("nutl", "mu_0 (O).(a | O O)", "expected a variable, got 'O'", 6),
     ("nutl", "mu_0 (X,nu_0).(O X; a)", "expected a variable, got 'nu_0'", 8),
+    # definitions '@k = <formula>;' come before the formula, each name once
+    ("nutl", "a | @0", "undefined name @0", 4),
+    ("nutl", "@0 = a & @1; @1 = b; @0", "@1 is used before its definition", 9),
+    ("nutl", "@0 = O (@0); @0", "@0 is used before its definition", 8),
+    ("nutl", "@0 = a & b; @0 = b; @0", "@0 is defined twice", 12),
+    ("nutl", "@0 = a & b @0", "expected ';', got '@0'", 11),
+    ("nutl", "@0 = a & b", "unexpected end of formula", 10),
+    ("nutl", "a | @0 = b; @0", "definition of @0 inside the formula", 4),
+    ("nutl", "@0 = a; O (@1 = b; @1)", "definition of @1 inside the formula", 11),
+    ("nutl", "mu_0 (X).(@0 = O X; @0)", "definition of @0 inside the formula", 10),
     ("cond", "", "unexpected end of condition", 0),
     ("cond", " \t\n", "unexpected end of condition", 3),
     # every non-space character starts a condition token
@@ -100,7 +110,7 @@ LANGUAGES = {
     "nutl": (
         format_nutl,
         lambda rng: format_nutl(random_nutl(rng, AB, rng.randint(0, 4))),
-        ["(", ")", ".", ";", ",", "|", "&", "!", "O", "mu_0", "nu_1", "a", "b", "V", "W", "$"],
+        ["(", ")", ".", ";", ",", "|", "&", "!", "=", "@0", "@1", "O", "mu_0", "nu_1", "a", "b", "V", "W", "$"],
     ),
     "cond": (
         format_condition,

@@ -13,7 +13,7 @@ from backdet.nba import (
     nba_to_bda,
     peel_ranks,
 )
-from backdet.nutl import nutl_eval_lasso, nutl_truth_set, subformulas
+from backdet.nutl import format_nutl, nutl_eval_lasso, nutl_truth_set, parse_nutl, subformulas
 from backdet.validation import random_nba
 
 AB = Alphabet(("a", "b"))
@@ -179,6 +179,25 @@ def test_rank_table_is_a_dag_linear_in_levels():
     # dualizing maps distinct nodes to distinct nodes
     assert len(subformulas(list(res.formulas.final_tuple))) == counts[-1]
     assert len(res.waa.states) == 2 * n * n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rank_formulas_print_each_node_once_and_parse_back(n):
+    # NBAs drawn as the nba-compile benchmark draws them: n outgoing
+    # transitions per state, half of all possible, one initial and one
+    # Buchi state
+    rng = random.Random(n)
+    states = [f"q{i}" for i in range(n)]
+    edges = [(a, q) for a in AB for q in states]
+    for _ in range(3):
+        transitions = [(p, a, q) for p in states for a, q in rng.sample(edges, n)]
+        nba = NBA(AB, states, [rng.choice(states)], transitions, [rng.choice(states)])
+        for f in build_rank_formulas(nba).final_tuple:
+            text = format_nutl(f)
+            assert parse_nutl(text, AB) is f
+            # 12-17 characters per distinct node for n = 3-6; printed as
+            # a tree, n = 3 takes about 500
+            assert len(text) <= 20 * len(subformulas(f))
 
 
 def test_rank_formulas_need_a_state():

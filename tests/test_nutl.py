@@ -69,6 +69,17 @@ def test_format_round_trip():
         assert parse_nutl(format_nutl(phi), AB) == phi
 
 
+def test_shared_nodes_print_once_as_definitions():
+    phi = parse_nutl("(a & O b) | O (a & O b)", AB)
+    text = "@0 = (a & O (b)); (@0 | O (@0))"
+    assert format_nutl(phi) == text
+    assert parse_nutl(text, AB) is phi
+    # a fix counts once per body it holds; a shared leaf is not named
+    fix = parse_nutl("mu_0 (X,Y).(a | O X; a | O X)", AB)
+    assert format_nutl(fix) == "@0 = (a | O (X)); mu_0 (X,Y).(@0; @0)"
+    assert format_nutl(parse_nutl("a | a", AB)) == "(a | a)"
+
+
 def test_closed_and_free():
     assert is_closed(parse_nutl(UNTIL, AB))
     assert free_vars(parse_nutl("O Z", AB)) == {"Z"}
