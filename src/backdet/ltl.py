@@ -1,84 +1,68 @@
 """LTL in negation normal form: parsing, translation, lasso semantics.
 
 Formulas are built over the letters of an explicit alphabet; negation is
-only allowed directly on letters.  The translation produces a very weak
-alternating automaton with one state per distinct subformula.
+only allowed directly on letters.  LTL is a fragment of the fixed-point
+calculus of :mod:`backdet.nutl`: its letter, negated-letter, next-step,
+``|`` and ``&`` nodes are the ones declared there, and this module declares
+only F, G, U and R.  The translation produces a very weak alternating
+automaton with one state per distinct subformula; it builds conditions with
+the fixed-point frontend's builder and unfolds F, G, U and R one step ahead.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
+from .automata import Alphabet, And as CAnd, NextState, Or as COr, WeakAlternatingAutomaton
 from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
 from .node import Node, subterms
+from .nutl import _SWAP, And, Letter, NegLetter, Next, Or, _condition_builder
 
 
-class LtlFormula(Node):
-    __slots__ = ()
-
-
-class Letter(LtlFormula):
-    __slots__ = ("name",)
-
-
-class NegLetter(LtlFormula):
-    __slots__ = ("name",)
-
-
-class Or(LtlFormula):
-    __slots__ = ("left", "right")
-
-
-class And(LtlFormula):
-    __slots__ = ("left", "right")
-
-
-class Next(LtlFormula):
+class Eventually(Node):
     __slots__ = ("operand",)
 
 
-class Eventually(LtlFormula):
+class Always(Node):
     __slots__ = ("operand",)
 
 
-class Always(LtlFormula):
-    __slots__ = ("operand",)
-
-
-class Until(LtlFormula):
+class Until(Node):
     __slots__ = ("left", "right")
 
 
-class Release(LtlFormula):
+class Release(Node):
     __slots__ = ("left", "right")
 
 
-# Each node class: its symbol (parser, format_ltl), state-name tag (_state_names)
-# and NNF dual (negate).  A letter prefixes its name with the first two;
-# operators come in random_ltl's choice order.
+# Each node class: its symbol (parser, format_ltl) and state-name tag
+# (_state_names).  A letter prefixes its name with both; operators come in
+# random_ltl's choice order.
 _TABLE = {
-    Letter: ("", "", NegLetter),
-    NegLetter: ("!", "not_", Letter),
-    Next: ("X", "X", Next),
-    Eventually: ("F", "F", Always),
-    Always: ("G", "G", Eventually),
-    Until: ("U", "U", Release),
-    Release: ("R", "R", Until),
-    And: ("&", "and", Or),
-    Or: ("|", "or", And),
+    Letter: ("", ""),
+    NegLetter: ("!", "not_"),
+    Next: ("X", "X"),
+    Eventually: ("F", "F"),
+    Always: ("G", "G"),
+    Until: ("U", "U"),
+    Release: ("R", "R"),
+    And: ("&", "and"),
+    Or: ("|", "or"),
 }
-_OPERATORS = {sym: c for c, (sym, _, _) in _TABLE.items() if c not in (Letter, NegLetter)}
+_OPERATORS = {sym: c for c, (sym, _) in _TABLE.items() if c not in (Letter, NegLetter)}
 _UNARY = {sym: c for sym, c in _OPERATORS.items() if c.__slots__ == ("operand",)}
 _BINARY = {sym: c for sym, c in _OPERATORS.items() if c not in (*_UNARY.values(), And, Or)}
+# NNF duals (negate): the shared nodes' De Morgan duals, and F/G and U/R
+_DUAL = {Eventually: Always, Always: Eventually, Until: Release, Release: Until}
+_DUAL.update((c, _SWAP[c]) for c in _TABLE if c not in _DUAL)
 
 
-def _entry(f) -> tuple:
-    if type(f) not in _TABLE:
+def _entry(f, table=_TABLE):
+    if type(f) not in table:
         raise TypeError(f"not an LTL formula: {f!r}")
-    return _TABLE[type(f)]
+    return table[type(f)]
 
 
 class _LtlParser(TokenCursor):
@@ -119,11 +103,11 @@ class _LtlParser(TokenCursor):
         return (NegLetter if negated else Letter)(tok)
 
 
-def parse_ltl(text: str, alphabet: Alphabet) -> LtlFormula:
+def parse_ltl(text: str, alphabet: Alphabet) -> Node:
     return _LtlParser(text, alphabet).parse()
 
 
-def format_ltl(f: LtlFormula) -> str:
+def format_ltl(f: Node) -> str:
     sym = _entry(f)[0]
     if len(f.children) == 2:
         return f"({format_ltl(f.left)} {sym} {format_ltl(f.right)})"
@@ -132,14 +116,14 @@ def format_ltl(f: LtlFormula) -> str:
     return sym + f.name
 
 
-def subformulas(f: LtlFormula) -> list[LtlFormula]:
+def subformulas(f: Node) -> list[Node]:
     """Distinct subformulas, children before parents."""
     return subterms([f], children_first=True)
 
 
-def negate(f: LtlFormula) -> LtlFormula:
+def negate(f: Node) -> Node:
     """NNF dual; test helper, not part of the surface language."""
-    dual = _entry(f)[2]
+    dual = _entry(f, _DUAL)
     return dual(*map(negate, f.children)) if f.children else dual(f.name)
 
 
@@ -164,7 +148,7 @@ def _state_names(subs) -> dict:
     return names
 
 
-def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
+def ltl_to_waa(phi: Node, alphabet: Alphabet) -> WeakAlternatingAutomaton:
     """One state per distinct subformula; the result is very weak.
 
     Eventually/until states are non-recurring, always/release states
@@ -173,28 +157,19 @@ def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
     subs = subformulas(phi)
     names = _state_names(subs)
 
-    @functools.cache
-    def build(g):
-        if isinstance(g, Letter):
-            return LetterSet(frozenset({g.name}))
-        if isinstance(g, NegLetter):
-            return LetterSet(frozenset(alphabet.letters) - {g.name})
-        if isinstance(g, Or):
-            return COr(build(g.left), build(g.right))
-        if isinstance(g, And):
-            return CAnd(build(g.left), build(g.right))
-        if isinstance(g, Next):
-            return NextState(names[g.operand])
+    def unfold(g, build):
+        """F, G, U and R one step ahead, with g's own state next."""
+        here = NextState(names[g])
         if isinstance(g, Eventually):
-            return COr(build(g.operand), NextState(names[g]))
+            return COr(build(g.operand), here)
         if isinstance(g, Always):
-            return CAnd(build(g.operand), NextState(names[g]))
+            return CAnd(build(g.operand), here)
         if isinstance(g, Until):
-            return COr(build(g.right), CAnd(build(g.left), NextState(names[g])))
-        if isinstance(g, Release):
-            return CAnd(build(g.right), COr(build(g.left), NextState(names[g])))
-        raise TypeError(f"not an LTL formula: {g!r}")
+            return COr(build(g.right), CAnd(build(g.left), here))
+        # Release: _state_names has rejected every class outside _TABLE
+        return CAnd(build(g.right), COr(build(g.left), here))
 
+    build = _condition_builder(alphabet, names.__getitem__, unfold)
     delta = {names[g]: build(g) for g in subs}
     recurring = {names[g] for g in subs if isinstance(g, (Always, Release))}
     return WeakAlternatingAutomaton(
@@ -202,14 +177,14 @@ def ltl_to_waa(phi: LtlFormula, alphabet: Alphabet) -> WeakAlternatingAutomaton:
     )
 
 
-def ltl_eval_lasso(phi: LtlFormula, w: LassoWord, i: int) -> bool:
+def ltl_eval_lasso(phi: Node, w: LassoWord, i: int) -> bool:
     """Direct semantics on the lasso quotient; non-strict F/G/U/R, strict X."""
     if not 0 <= i < w.positions:
         raise ValueError(f"position {i} outside quotient range")
     return ltl_truth_vector(phi, w)[i]
 
 
-def ltl_truth_vector(phi: LtlFormula, w: LassoWord) -> list[bool]:
+def ltl_truth_vector(phi: Node, w: LassoWord) -> list[bool]:
     """Truth of phi at every quotient position.
 
     Each subformula denotes a position mask (bit i for position i).  F and
@@ -248,7 +223,7 @@ def ltl_truth_vector(phi: LtlFormula, w: LassoWord) -> list[bool]:
     return [bool(truth >> i & 1) for i in range(w.positions)]
 
 
-def random_ltl(rng, alphabet: Alphabet, size: int) -> LtlFormula:
+def random_ltl(rng, alphabet: Alphabet, size: int) -> Node:
     """Random NNF formula with at most ``size`` operator/letter nodes."""
     if size <= 1:
         name = rng.choice(alphabet.letters)

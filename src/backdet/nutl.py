@@ -2,7 +2,11 @@
 
 Formulas are built from letters, negated letters, variables, a next-step
 operator, boolean connectives, and vectorial least/greatest fixed points
-``mu_i (X0,...,Xr-1).(phi0; ...; phir-1)`` selecting component i.
+``mu_i (X0,...,Xr-1).(phi0; ...; phir-1)`` selecting component i.  This
+module declares those nodes.  LTL is a fragment of this calculus (Vardi,
+POPL 1988): :mod:`backdet.ltl` uses the letter, negated-letter, next-step,
+``|`` and ``&`` nodes declared here and adds only F, G, U and R, and one
+condition builder serves the translations of both.
 
 Nodes are hash-consed (:mod:`backdet.node`): structurally identical
 subformulas are one object, and equality is identity.  A variable may
@@ -250,6 +254,12 @@ class _Analysis:
     binders: dict
     sccs: list
 
+    def unfold(self, f, build):
+        """The condition of the body that a fix node or variable selects."""
+        if not isinstance(f, (Fix, Var)):
+            raise TypeError(f"not a nutl formula: {f!r}")
+        return build(self.succ[f][0])
+
 
 def _analyse(roots) -> _Analysis:
     """Analysis of one formula or a tuple.
@@ -360,10 +370,12 @@ def _require_translatable(roots) -> _Analysis:
     return a
 
 
-def _condition_builder(binders, alphabet, state_of):
-    """Transition condition of a subformula: letters are tested at the
-    current position, a fix node or variable unfolds to the body it
-    selects, and a next-step operand f becomes the state ``state_of(f)``."""
+def _condition_builder(alphabet, state_of, unfold):
+    """Transition condition of a formula node: a letter is tested at the
+    current position, a next-step operand f becomes the state
+    ``state_of(f)``, ``|`` and ``&`` become the condition's, and every other
+    node g becomes ``unfold(g, build)``.  Both the fixed-point and the LTL
+    translation build their conditions here."""
 
     @functools.cache
     def build(f):
@@ -377,12 +389,7 @@ def _condition_builder(binders, alphabet, state_of):
             return COr(build(f.left), build(f.right))
         if isinstance(f, And):
             return CAnd(build(f.left), build(f.right))
-        if isinstance(f, Fix):
-            return build(f.bodies[f.index])
-        if isinstance(f, Var):
-            fix, j = binders[f.name]
-            return build(fix.bodies[j])
-        raise TypeError(f"not a nutl formula: {f!r}")
+        return unfold(f, build)
 
     return build
 
@@ -399,7 +406,7 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAltern
     names = {f: f"s{i}" for i, f in enumerate(a.nodes)}
     if alphabet is None:
         alphabet = _alphabet_of(a.nodes)
-    build = _condition_builder(a.binders, alphabet, names.__getitem__)
+    build = _condition_builder(alphabet, names.__getitem__, a.unfold)
     delta = {names[f]: build(f) for f in a.nodes}
 
     recurring = set()
@@ -437,7 +444,7 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
             "use the subformula translation instead"
         )
 
-    build = _condition_builder(a.binders, alphabet, variable)
+    build = _condition_builder(alphabet, variable, a.unfold)
     delta = {}
     recurring = set()
     for name, (fix, j) in a.binders.items():

@@ -106,15 +106,50 @@ def test_state_names_are_deduplicated():
     assert waa.states == ("q_and__not_a__not_a", "q_not_a", "q_not_a_")
 
 
+# letters, next, & and | are shared, so each foreign node holds a variable
+# or an LTL temporal operator
 @pytest.mark.parametrize("function, node", [
-    (format_ltl, nutl.Letter("a")),
-    (negate, nutl.Next(nutl.Letter("a"))),
-    (nutl.dual_nutl, Letter("a")),
-    (nutl.dual_nutl, Next(Letter("a"))),
+    (format_ltl, nutl.Var("X")),
+    (negate, Next(nutl.Var("X"))),
+    (nutl.dual_nutl, Eventually(Letter("a"))),
+    (nutl.dual_nutl, Next(Until(Letter("a"), Letter("b")))),
 ])
 def test_nodes_of_another_language_raise_type_error(function, node):
     with pytest.raises(TypeError):
         function(node)
+
+
+def test_translations_raise_type_error_on_nodes_of_another_language():
+    with pytest.raises(TypeError):
+        ltl_to_waa(LAnd(Letter("a"), Next(nutl.Var("X"))), AB)
+    body = Until(Letter("a"), Next(nutl.Var("X")))
+    for f in (Eventually(Letter("a")), nutl.Fix(nutl.MU, 0, ("X",), (body,))):
+        for function in (nutl.format_nutl, nutl.dual_nutl):
+            with pytest.raises(TypeError):
+                function(f)
+        for translate in (nutl.nutl_to_waa, nutl.nutl_to_waa_optimized):
+            with pytest.raises(TypeError):
+                translate([f], AB)
+
+
+def test_ltl_shares_the_fixed_point_nodes():
+    assert parse_ltl("a & X !b", AB) is nutl.parse_nutl("a & O (!b)", AB)
+
+
+def test_kleene_semantics_agrees_with_ltl_semantics_on_the_shared_fragment():
+    # two independent oracles on formulas of letters, X, & and | only
+    rng = random.Random(9)
+    lassos = list(exhaustive_lassos(AB, 2, 2))
+    temporal = (Eventually, Always, Until, Release)
+    shared = []
+    while len(shared) < 300:
+        phi = random_ltl(rng, AB, rng.randint(1, 8))
+        if not any(isinstance(g, temporal) for g in subformulas(phi)):
+            shared.append(phi)
+    for phi in shared:
+        for w in lassos:
+            kleene = [0 in s for s in nutl.nutl_eval_lasso([phi], w)]
+            assert kleene == ltl_truth_vector(phi, w), (format_ltl(phi), str(w))
 
 
 def test_subformulas_distinct_children_first():

@@ -26,8 +26,9 @@ def test_structurally_equal_nodes_are_one_object():
 
 
 def test_families_and_classes_never_collide():
-    assert ltl.Letter("a") is not nutl.Letter("a")
-    assert ltl.Letter("a") != nutl.Letter("a")
+    a = ltl.Letter("a")
+    assert ltl.Eventually(a) is not ltl.Always(a)
+    assert ltl.Eventually(a) != ltl.Always(a)
     assert nutl.Letter("a") is not nutl.Var("a")
     assert ltl.Or(ltl.Letter("a"), ltl.Letter("b")) is not ltl.And(ltl.Letter("a"), ltl.Letter("b"))
     assert ltl.Or(ltl.Letter("a"), ltl.Letter("b")) is not ltl.Until(ltl.Letter("a"), ltl.Letter("b"))

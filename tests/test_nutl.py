@@ -25,6 +25,7 @@ from backdet.nutl import (
     nutl_truth_set,
     parse_nutl,
 )
+from backdet.validation import exhaustive_lassos
 
 AB = Alphabet(("a", "b"))
 
@@ -159,16 +160,25 @@ def test_dual_is_complement_and_involution():
             assert td == frozenset(range(w.positions)) - t
 
 
-def test_translation_matches_semantics():
-    phi = parse_nutl(UNTIL, AB)
-    waa, (init,) = nutl_to_waa([phi], AB)
+@pytest.mark.parametrize("texts", [
+    [UNTIL],
+    [ALWAYS],
+    ["nu_0 (X,Y).(a & O Y; b | O X)"],
+    [UNTIL, "nu_0 (Y).(a & O Y)"],  # ALWAYS on its own variable: one binder per name
+], ids=["until", "always", "nu-vector", "tuple"])
+def test_translation_matches_semantics(texts):
+    roots = [parse_nutl(text, AB) for text in texts]
+    waa, inits = nutl_to_waa(roots, AB)
     assert is_weak(waa)
+    # a greatest fixed point makes its states recurring
+    assert bool(waa.recurring) == any(NU in text for text in texts)
     bda = BackwardDetAutomaton(waa)
-    for w in (LassoWord((), ("a",)), LassoWord(("a", "a"), ("b",))):
-        truth = nutl_truth_set(phi, w)
+    for w in exhaustive_lassos(AB, 2, 2):
+        truth = nutl_eval_lasso(roots, w)
         run = bda_final_run(bda, w)
         for i in range(w.positions):
-            assert (init in bda.output(run.families[i])) == (i in truth)
+            got = {j for j, init in enumerate(inits) if init in run.output(bda, i)}
+            assert got == truth[i], (texts, str(w), i)
 
 
 def test_optimized_translation_one_state_per_variable():

@@ -60,3 +60,9 @@ def test_small_sweeps_pass():
     assert check_nutl(count=5).ok
     assert check_uniqueness(count=5).ok
     assert check_nba(count=2).ok
+
+
+def test_nutl_sweep_at_its_defaults():
+    # the defaults draw greatest fixed points and optimized translations,
+    # which count=5 does not
+    assert check_nutl().ok
