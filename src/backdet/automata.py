@@ -1,7 +1,8 @@
 """Weak alternating omega-automata over explicit alphabets.
 
 Transition conditions are positive boolean formulas over letter-set tests
-and next-state references.  The transition graph of an automaton has an edge
+and next-state references; the free names of a condition (``cond.free``) are
+the states it references.  The transition graph of an automaton has an edge
 q -> q' whenever a reference to q' occurs in delta(q); weakness means every
 strongly connected component of that graph is polarity-pure (all recurring
 or all non-recurring).
@@ -54,6 +55,9 @@ class LetterSet(Condition):
 class NextState(Condition):
     __slots__ = ("state",)
 
+    def _free(self, _):
+        return frozenset({self.state})
+
 
 class Or(Condition):
     __slots__ = ("left", "right")
@@ -71,7 +75,7 @@ def condition_subformulas(cond: Condition) -> list[Condition]:
 
 def condition_states(cond: Condition) -> set:
     """States referenced by next-state atoms in a condition."""
-    return {c.state for c in condition_subformulas(cond) if isinstance(c, NextState)}
+    return set(cond.free)
 
 
 def fold(cond: Condition, atom, disj, conj):
@@ -130,12 +134,9 @@ class WeakAlternatingAutomaton:
         self.recurring = frozenset(recurring)
         self.initial = None if initial is None else frozenset(initial)
         self._validate()
-        self._successors = {q: frozenset(condition_states(self.delta[q])) for q in self.states}
+        self._successors = {q: self.delta[q].free for q in self.states}
         self.sccs = scc_decompose(self)
-        self._scc_of = {}
-        for idx, scc in enumerate(self.sccs):
-            for q in scc.states:
-                self._scc_of[q] = idx
+        self._scc_of = {q: idx for idx, scc in enumerate(self.sccs) for q in scc.states}
 
     def _validate(self):
         declared = set(self.states)
@@ -146,12 +147,12 @@ class WeakAlternatingAutomaton:
         if extra:
             raise ValueError(f"delta defined for undeclared states: {sorted(extra)}")
         for q, cond in self.delta.items():
-            for sub in condition_subformulas(cond):
-                if isinstance(sub, NextState) and sub.state not in declared:
-                    raise ValueError(f"delta({q}) references undeclared state {sub.state}")
-                if isinstance(sub, LetterSet) and not sub.letters <= set(self.alphabet.letters):
-                    bad = sorted(sub.letters - set(self.alphabet.letters))
-                    raise ValueError(f"delta({q}) uses letters outside the alphabet: {bad}")
+            if cond.free - declared:
+                raise ValueError(f"delta({q}) references undeclared state {min(cond.free - declared)}")
+        for sub in subterms(list(self.delta.values())):
+            if type(sub) is LetterSet and (bad := sorted(sub.letters.difference(self.alphabet.letters))):
+                q = next(q for q, cond in self.delta.items() if sub in subterms([cond]))
+                raise ValueError(f"delta({q}) uses letters outside the alphabet: {bad}")
         if not self.recurring <= declared:
             raise ValueError("recurring set contains undeclared states")
         if self.initial is not None and not self.initial <= declared:

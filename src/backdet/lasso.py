@@ -90,19 +90,20 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> dict:
     val = {}
 
     def ev(cond):
-        if isinstance(cond, LetterSet):
+        t = type(cond)
+        if t is NextState:
+            return pre(val[cond.state])
+        if t is And:
+            left = ev(cond.left)
+            return left and left & ev(cond.right)
+        if t is Or:
+            left = ev(cond.left)
+            return left if left == full else left | ev(cond.right)
+        if t is LetterSet:
             got = 0
             for a in cond.letters:
                 got |= w.mask(a)
             return got
-        if isinstance(cond, NextState):
-            return pre(val[cond.state])
-        if isinstance(cond, Or):
-            left = ev(cond.left)
-            return left if left == full else left | ev(cond.right)
-        if isinstance(cond, And):
-            left = ev(cond.left)
-            return left and left & ev(cond.right)
         raise TypeError(f"not a condition: {cond!r}")
 
     table = {}

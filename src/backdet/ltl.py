@@ -195,24 +195,25 @@ def ltl_truth_vector(phi: Node, w: LassoWord) -> list[bool]:
 
     @functools.cache
     def vec(f):
-        if isinstance(f, Letter):
+        t = type(f)
+        if t is Letter:
             return w.mask(f.name)
-        if isinstance(f, NegLetter):
+        if t is NegLetter:
             return full & ~w.mask(f.name)
-        if isinstance(f, Or):
+        if t is Or:
             return vec(f.left) | vec(f.right)
-        if isinstance(f, And):
+        if t is And:
             return vec(f.left) & vec(f.right)
-        if isinstance(f, Next):
+        if t is Next:
             return pre(vec(f.operand))
-        if isinstance(f, (Eventually, Until)):
-            a, b = (full, vec(f.operand)) if isinstance(f, Eventually) else (vec(f.left), vec(f.right))
+        if t is Eventually or t is Until:
+            a, b = (full, vec(f.operand)) if t is Eventually else (vec(f.left), vec(f.right))
             cur, last = 0, None
             while cur != last:
                 cur, last = b | (a & pre(cur)), cur
             return cur
-        if isinstance(f, (Always, Release)):
-            a, b = (0, vec(f.operand)) if isinstance(f, Always) else (vec(f.left), vec(f.right))
+        if t is Always or t is Release:
+            a, b = (0, vec(f.operand)) if t is Always else (vec(f.left), vec(f.right))
             cur, last = full, None
             while cur != last:
                 cur, last = b & (a | pre(cur)), cur

@@ -7,9 +7,11 @@ and hashing are identity, and a formula whose subformulas repeat, like the
 nested rank formulas of a Buchi automaton, is a DAG of distinct nodes.
 
 A node class lists its fields in ``__slots__`` and is built positionally
-from their values.  Its children are the fields that are nodes, and the
-nodes inside tuple fields, in field order; they are stored once, when the
-node is built.  A class may define ``_check(*fields)`` to validate or
+from their values.  Two attributes are derived when it is built: ``children``,
+the fields that are nodes and the nodes inside tuple fields, in field order,
+and ``free``, the frozenset union of the children's free names, which a
+``_free(node, names)`` hook may adjust (a variable gives its name, a binder
+removes its own).  A class may define ``_check(*fields)`` to validate or
 normalize the field values; it returns the values to store.
 """
 
@@ -22,6 +24,7 @@ import weakref
 # build the same node at once could get two copies.
 _interned = {}
 _set = object.__setattr__
+_NO_NAMES = frozenset()
 
 
 class _Ref(weakref.ref):
@@ -37,8 +40,9 @@ def _forget(ref):
 
 
 class Node:
-    __slots__ = ("children", "__weakref__")
+    __slots__ = ("children", "free", "__weakref__")
     _check = None
+    _free = None
 
     def __new__(cls, *fields):
         if len(fields) != len(cls.__slots__):
@@ -58,6 +62,10 @@ class Node:
                 elif type(value) is tuple:
                     children += [c for c in value if isinstance(c, Node)]
             _set(node, "children", tuple(children))
+            free = _NO_NAMES.union(*[c.free for c in children if c.free])
+            if cls._free is not None:
+                free = cls._free(node, free)
+            _set(node, "free", free or _NO_NAMES)
             ref = _interned[key] = _Ref(node, _forget)
             ref.key = key
         return node

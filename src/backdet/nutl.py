@@ -31,7 +31,8 @@ cycles through variables of both a least and a greatest fixed point.
 :func:`nutl_eval_lasso` is the Kleene semantics on a lasso: a formula
 denotes a position mask of the lasso quotient (:class:`LassoWord`), and
 each closed subformula is evaluated once, as in the alternation-free model
-checking of Emerson and Lei (LICS 1986).
+checking of Emerson and Lei (LICS 1986).  Whether a subformula is closed is
+read from the node, which holds its free variables (``free``).
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class NegLetter(NutlFormula):
 class Var(NutlFormula):
     __slots__ = ("name",)
 
+    def _free(self, _):
+        return frozenset({self.name})
+
 
 class Next(NutlFormula):
     __slots__ = ("operand",)
@@ -94,6 +98,9 @@ class Fix(NutlFormula):
         if not 0 <= index < len(vars):
             raise ValueError(f"fix index {index} out of range for {len(vars)} variables")
         return kind, index, vars, bodies
+
+    def _free(self, names):
+        return names.difference(self.vars)
 
 
 _FIX_NAME = re.compile(r"^(mu|nu)_(\d+)$")
@@ -222,24 +229,12 @@ def subformulas(roots) -> list[NutlFormula]:
     return subterms([roots] if isinstance(roots, NutlFormula) else roots)
 
 
-def _free_table(roots) -> dict:
-    """Free variables of every subformula of ``roots``, in one pass."""
-    free = {}
-    for f in subterms(roots, children_first=True):
-        if isinstance(f, Var):
-            free[f] = frozenset({f.name})
-        else:
-            got = frozenset().union(*map(free.__getitem__, f.children))
-            free[f] = got - set(f.vars) if isinstance(f, Fix) else got
-    return free
-
-
 def free_vars(f: NutlFormula) -> frozenset:
-    return _free_table([f])[f]
+    return f.free
 
 
 def is_closed(f: NutlFormula) -> bool:
-    return not free_vars(f)
+    return not f.free
 
 
 @dataclass
@@ -348,16 +343,16 @@ def check_alternation_free(phi) -> list | None:
     return _alternating_walk(_analyse(phi))
 
 
-def _require_closed(roots, free):
+def _require_closed(roots):
     for f in roots:
-        if free[f]:
-            raise SemanticError(f"formula is not closed: free {sorted(free[f])}")
+        if f.free:
+            raise SemanticError(f"formula is not closed: free {sorted(f.free)}")
 
 
 def _require_translatable(roots) -> _Analysis:
     """The analysis of a closed, guarded, alternation-free formula tuple;
     SemanticError for any other."""
-    _require_closed(roots, _free_table(roots))
+    _require_closed(roots)
     a = _analyse(roots)
     cycle = _unguarded_cycle(a)
     if cycle is not None:
@@ -409,10 +404,7 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAltern
     build = _condition_builder(alphabet, names.__getitem__, a.unfold)
     delta = {names[f]: build(f) for f in a.nodes}
 
-    recurring = set()
-    for comp, kinds in _cyclic_kinds(a):
-        if kinds.keys() == {NU}:
-            recurring.update(names[f] for f in comp)
+    recurring = {names[f] for comp, kinds in _cyclic_kinds(a) if kinds.keys() == {NU} for f in comp}
 
     initial_states = [names[f] for f in roots]
     waa = WeakAlternatingAutomaton(
@@ -499,8 +491,7 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
     (nu), and each closed subformula is evaluated once per call.
     """
     roots = list(phi_tuple)
-    free = _free_table(roots)
-    _require_closed(roots, free)
+    _require_closed(roots)
     full, pre = w.full, w.pre
     closed = {}
 
@@ -508,19 +499,20 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
         got = closed.get(f)
         if got is not None:
             return got
-        if isinstance(f, Letter):
-            got = w.mask(f.name)
-        elif isinstance(f, NegLetter):
-            got = full & ~w.mask(f.name)
-        elif isinstance(f, Var):
-            return env[f.name]
-        elif isinstance(f, Next):
-            got = pre(ev(f.operand, env))
-        elif isinstance(f, Or):
-            got = ev(f.left, env) | ev(f.right, env)
-        elif isinstance(f, And):
+        t = type(f)
+        if t is And:
             got = ev(f.left, env) & ev(f.right, env)
-        elif isinstance(f, Fix):
+        elif t is Or:
+            got = ev(f.left, env) | ev(f.right, env)
+        elif t is Var:
+            return env[f.name]
+        elif t is Next:
+            got = pre(ev(f.operand, env))
+        elif t is Letter:
+            got = w.mask(f.name)
+        elif t is NegLetter:
+            got = full & ~w.mask(f.name)
+        elif t is Fix:
             cur = dict.fromkeys(f.vars, 0 if f.kind == MU else full)
             for _ in range(w.positions * len(f.vars) + 2):
                 inner = {**env, **cur}
@@ -533,15 +525,12 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
             got = cur[f.vars[f.index]]
         else:
             raise TypeError(f"not a nutl formula: {f!r}")
-        if not free[f]:
+        if not f.free:
             closed[f] = got
         return got
 
     truths = [ev(f, {}) for f in roots]
-    return [
-        frozenset(j for j, m in enumerate(truths) if m >> i & 1)
-        for i in range(w.positions)
-    ]
+    return [frozenset(j for j, m in enumerate(truths) if m >> i & 1) for i in range(w.positions)]
 
 
 def nutl_truth_set(phi: NutlFormula, w: LassoWord) -> frozenset:

@@ -97,3 +97,15 @@ def test_validation_errors():
         WeakAlternatingAutomaton(AB, ["q"], {"q": LetterSet({"z"})}, [])
     with pytest.raises(ValueError):
         WeakAlternatingAutomaton(AB, ["q"], {"q": LetterSet({"a"})}, ["nope"])
+
+
+def test_validation_error_texts():
+    undeclared = {"q": Or(LetterSet({"a"}), NextState("nope"))}
+    foreign = {"q": NextState("r"), "r": And(LetterSet({"a", "z", "c"}), NextState("q"))}
+    for states, delta, text in (
+        (["q"], undeclared, "delta(q) references undeclared state nope"),
+        (["q", "r"], foreign, "delta(r) uses letters outside the alphabet: ['c', 'z']"),
+    ):
+        with pytest.raises(ValueError) as e:
+            WeakAlternatingAutomaton(AB, states, delta, [])
+        assert str(e.value) == text

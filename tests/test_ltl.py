@@ -132,6 +132,14 @@ def test_translations_raise_type_error_on_nodes_of_another_language():
                 translate([f], AB)
 
 
+def test_lasso_semantics_raise_type_error_on_nodes_of_another_language():
+    w = LassoWord(("a",), ("b",))
+    with pytest.raises(TypeError):
+        nutl.nutl_eval_lasso([Eventually(Letter("a"))], w)
+    with pytest.raises(TypeError):
+        ltl_truth_vector(nutl.Var("X"), w)
+
+
 def test_ltl_shares_the_fixed_point_nodes():
     assert parse_ltl("a & X !b", AB) is nutl.parse_nutl("a & O (!b)", AB)
 

@@ -5,8 +5,9 @@ import pytest
 
 from backdet import automata, ltl, node, nutl
 from backdet.automata import Alphabet, LetterSet
+from backdet.errors import SemanticError
 from backdet.nba import build_rank_formulas
-from backdet.validation import random_nba
+from backdet.validation import random_nba, random_nutl
 
 AB = Alphabet(("a", "b"))
 
@@ -77,3 +78,70 @@ def test_intern_table_drops_dead_nodes():
     del f
     gc.collect()
     assert len(node._interned) == before
+
+
+def _assert_free_names_by_definition(roots):
+    """Every node under ``roots`` holds the free names that the plain
+    recursion gives: a variable its name, a fix its bodies' names minus its
+    vars, a next-state atom its state, any other node the union of its
+    children's.  Returns how many nodes have free names."""
+    memo = {}
+
+    def free(f):
+        if f not in memo:
+            if isinstance(f, nutl.Var):
+                memo[f] = {f.name}
+            elif isinstance(f, automata.NextState):
+                memo[f] = {f.state}
+            else:
+                memo[f] = set().union(*map(free, f.children))
+                if isinstance(f, nutl.Fix):
+                    memo[f] -= set(f.vars)
+        return memo[f]
+
+    nodes = node.subterms(roots)
+    for f in nodes:
+        assert type(f.free) is frozenset and f.free == free(f), f
+    return sum(bool(f.free) for f in nodes)
+
+
+def test_free_names_of_rank_tables_and_their_automata():
+    for n in (2, 3, 4):
+        table = build_rank_formulas(random_nba(random.Random(3), AB, n))
+        assert _assert_free_names_by_definition([f for level in table.chi for f in level]) > 0
+        assert _assert_free_names_by_definition(list(table.final_tuple)) > 0
+        for translate in (nutl.nutl_to_waa, nutl.nutl_to_waa_optimized):
+            waa, _ = translate(table.final_tuple, AB)
+            assert _assert_free_names_by_definition(list(waa.delta.values())) > 0
+
+
+def test_free_names_of_random_formulas_and_their_automata():
+    rng = random.Random(1)
+    formulas = [random_nutl(rng, AB) for _ in range(300)]
+    assert _assert_free_names_by_definition(formulas) > 0
+    translated = 0
+    for f in formulas:
+        try:
+            waa, _ = nutl.nutl_to_waa([f], AB)
+        except SemanticError:
+            continue
+        translated += 1
+        _assert_free_names_by_definition(list(waa.delta.values()))
+    assert translated > 200
+
+    rng = random.Random(1)
+    formulas = [ltl.random_ltl(rng, AB, rng.randint(1, 30)) for _ in range(200)]
+    assert _assert_free_names_by_definition(formulas) == 0
+    assert sum(_assert_free_names_by_definition(list(ltl.ltl_to_waa(f, AB).delta.values())) for f in formulas) > 0
+
+
+def test_an_inner_fix_binds_only_its_own_occurrences():
+    x, y = nutl.Var("X"), nutl.Var("Y")
+    inner = nutl.Fix(nutl.NU, 0, ("X",), (nutl.And(nutl.Next(x), y),))
+    body = nutl.Or(nutl.Next(x), inner)
+    outer = nutl.Fix(nutl.MU, 0, ("X",), (body,))
+    assert (inner.free, body.free, outer.free) == ({"Y"}, {"X", "Y"}, {"Y"})
+    assert nutl.Fix(nutl.MU, 0, ("Y",), (outer,)).free == frozenset()
+    assert _assert_free_names_by_definition([outer]) == 7
+    with pytest.raises(AttributeError):
+        outer.free = frozenset()

@@ -132,6 +132,17 @@ def test_translation_rejects_bad_input():
         nutl_to_waa([unguarded], AB)
 
 
+def test_open_formulas_are_rejected_with_their_free_names():
+    open_formula = parse_nutl("O X", AB)
+    for reject in (
+        lambda: nutl_eval_lasso([open_formula], LassoWord(("a",), ("b",))),
+        lambda: nutl_to_waa([open_formula], AB),
+    ):
+        with pytest.raises(SemanticError) as e:
+            reject()
+        assert str(e.value) == "formula is not closed: free ['X']"
+
+
 def test_eval_until_and_always():
     until = parse_nutl(UNTIL, AB)
     assert nutl_truth_set(until, LassoWord(("a", "a"), ("b",))) == {0, 1, 2}
