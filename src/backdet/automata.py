@@ -67,17 +67,6 @@ class And(Condition):
     __slots__ = ("left", "right")
 
 
-def condition_subformulas(cond: Condition) -> list[Condition]:
-    """All distinct subformula nodes of a condition, children before
-    parents; a node shared within the condition is listed once."""
-    return subterms([cond], children_first=True)
-
-
-def condition_states(cond: Condition) -> set:
-    """States referenced by next-state atoms in a condition."""
-    return set(cond.free)
-
-
 def fold(cond: Condition, atom, disj, conj):
     """Bottom-up walk of a condition tree: ``atom`` maps each letter test and
     next-state reference to a value, ``disj`` and ``conj`` combine the values

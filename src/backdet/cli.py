@@ -102,21 +102,18 @@ def cmd_run(args):
     bda = BackwardDetAutomaton(waa)
     w = parse_lasso(args.lasso, waa.alphabet)
     run = bda_final_run(bda, w)
-    table = waa_accept_table(waa, w)
+    outs = run.outputs(bda)
     print(f"word: {w}")
-    for i in range(w.positions):
+    for i, (out, oracle) in enumerate(zip(outs, waa_accept_table(waa, w))):
         fired = " ".join(f"({s},{k})" for s, k in sorted(run.record(bda, i).fired))
-        out = sorted(run.output(bda, i))
-        oracle = sorted(q for q in waa.states if table[(i, q)])
         marker = "" if out == oracle else "   << MISMATCH"
         print(f"pos {i} letter {w.letter(i)}")
         print(f"  family: {bda.format_family(run.families[i])}")
         print(f"  fired:  {fired}")
-        print(f"  output: {{{', '.join(out)}}}")
-        print(f"  oracle: {{{', '.join(oracle)}}}{marker}")
+        print(f"  output: {{{', '.join(sorted(out))}}}")
+        print(f"  oracle: {{{', '.join(sorted(oracle))}}}{marker}")
     if waa.initial is not None:
-        member = bool(waa.initial & run.output(bda, 0))
-        print(f"accepted from initial set: {member}")
+        print(f"accepted from initial set: {bool(waa.initial & outs[0])}")
     return EXIT_OK
 
 

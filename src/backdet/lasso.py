@@ -10,12 +10,14 @@ for position i): ``full``, ``mask(letter)`` and ``pre(s)``.
 This module contains the two semantic routes that every construction is
 checked against: a fixed-point acceptance oracle evaluated directly on the
 weak alternating automaton, and the final-run computation for the derived
-backward deterministic automaton.
+backward deterministic automaton.  The oracle answers in the shape of the
+run's outputs (:meth:`BackwardRun.outputs`), one set of accepting states
+per quotient position, and :func:`cross_validate` compares the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
@@ -68,23 +70,20 @@ class LassoWord:
         one place, and the bit of the loop start wraps to the last position."""
         return (s >> 1) | ((s >> self.loop_start) & 1) << (self.positions - 1)
 
-    def unrolled(self, copies: int) -> "LassoWord":
-        """Same word with the period repeated ``copies`` times."""
-        return LassoWord(self.prefix, self.period * copies)
-
     def __str__(self):
         return " ".join(self.prefix) + " ; " + " ".join(self.period)
 
 
-def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> dict:
-    """(position, state) -> accepted, for all quotient positions and states.
+def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
+    """The states accepting at each quotient position, one frozenset per
+    position, the shape of :meth:`BackwardRun.outputs`.
 
     Each state holds a position mask.  The SCCs are evaluated in topological
     order (successors first): a non-recurring SCC's masks start empty and
     rise to the least fixed point, a recurring SCC's start full and fall to
     the greatest.  A condition reads letters at the current position and
     states at the successor position (``w.pre``); the states of lower SCCs
-    are settled by then.
+    are settled by then.  The masks become per-position sets at the end.
     """
     full, pre = w.full, w.pre
     val = {}
@@ -106,7 +105,6 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> dict:
             return got
         raise TypeError(f"not a condition: {cond!r}")
 
-    table = {}
     for scc in waa.sccs:
         if scc.recurring is None:
             raise SemanticError(f"automaton is not weak, mixed SCC: {scc.states}")
@@ -119,16 +117,15 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> dict:
                 if got != val[q]:
                     val[q] = got
                     changed = True
-        for i in range(w.positions):
-            for q in scc.states:
-                table[(i, q)] = bool(val[q] >> i & 1)
-    return table
+    return tuple(frozenset(q for q, m in val.items() if m >> i & 1) for i in range(w.positions))
 
 
 def waa_accepts_lasso(waa: WeakAlternatingAutomaton, q: str, w: LassoWord, i: int) -> bool:
     if not 0 <= i < w.positions:
         raise ValueError(f"position {i} outside quotient range")
-    return waa_accept_table(waa, w)[(i, q)]
+    if q not in waa.states:
+        raise ValueError(f"unknown state {q!r}")
+    return q in waa_accept_table(waa, w)[i]
 
 
 @dataclass(frozen=True)
@@ -286,36 +283,39 @@ def _period_map(bda, w):
 
 
 @dataclass
-class ValidationReport:
-    ok: bool
-    mismatches: list
+class CheckReport:
+    """Cases checked and one dict per failure, each naming what failed."""
 
-    def __bool__(self):
-        return self.ok
+    mode: str
+    cases: int = 0
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def fail(self, **info):
+        self.failures.append(info)
+
+    def summary(self) -> str:
+        status = "pass" if self.ok else "FAIL"
+        return f"{self.mode}: {status} ({self.cases} cases, {len(self.failures)} failures)"
 
 
-def cross_validate(waa: WeakAlternatingAutomaton, w: LassoWord, bda=None, run=None) -> ValidationReport:
-    """Check lambda outputs of the final run against the direct oracle."""
+def cross_validate(waa: WeakAlternatingAutomaton, w: LassoWord, bda=None, run=None) -> CheckReport:
+    """Lambda on the final run's family at each position against the direct
+    oracle; one case per position, one failure per position that differs."""
     if bda is None:
         bda = BackwardDetAutomaton(waa)
     if run is None:
         run = bda_final_run(bda, w)
-    table = waa_accept_table(waa, w)
-    mismatches = []
-    for i in range(w.positions):
-        expected = frozenset(q for q in waa.states if table[(i, q)])
-        got = bda.output(run.families[i])
-        if expected != got:
-            mismatches.append(
-                {
-                    "word": str(w),
-                    "position": i,
-                    "oracle": sorted(expected),
-                    "bda": sorted(got),
-                    "family": bda.format_family(run.families[i]),
-                }
-            )
-    return ValidationReport(not mismatches, mismatches)
+    report = CheckReport("cross_validate", w.positions)
+    for i, (oracle, family) in enumerate(zip(waa_accept_table(waa, w), run.families, strict=True)):
+        got = bda.output(family)
+        if oracle != got:
+            report.fail(word=str(w), position=i, reason="output differs from automaton oracle",
+                        oracle=sorted(oracle), bda=sorted(got), family=bda.format_family(family))
+    return report
 
 
 def language_member(automaton, w: LassoWord) -> bool:
@@ -326,14 +326,9 @@ def language_member(automaton, w: LassoWord) -> bool:
     WAA's initial set via the wrapped automaton): the lambda output at
     position 0 meets the initial set.
     """
-    if isinstance(automaton, BackwardDetAutomaton):
-        waa = automaton.waa
-        if waa.initial is None:
-            raise SemanticError("automaton has no initial set")
-        run = bda_final_run(automaton, w)
-        return bool(waa.initial & run.output(automaton, 0))
-    waa = automaton
+    bda = automaton if isinstance(automaton, BackwardDetAutomaton) else None
+    waa = automaton.waa if bda else automaton
     if waa.initial is None:
         raise SemanticError("automaton has no initial set")
-    table = waa_accept_table(waa, w)
-    return any(table[(0, q)] for q in waa.initial)
+    accepting = bda_final_run(bda, w).output(bda, 0) if bda else waa_accept_table(waa, w)[0]
+    return bool(waa.initial & accepting)

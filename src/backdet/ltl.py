@@ -116,11 +116,6 @@ def format_ltl(f: Node) -> str:
     return sym + f.name
 
 
-def subformulas(f: Node) -> list[Node]:
-    """Distinct subformulas, children before parents."""
-    return subterms([f], children_first=True)
-
-
 def negate(f: Node) -> Node:
     """NNF dual; test helper, not part of the surface language."""
     dual = _entry(f, _DUAL)
@@ -154,7 +149,7 @@ def ltl_to_waa(phi: Node, alphabet: Alphabet) -> WeakAlternatingAutomaton:
     Eventually/until states are non-recurring, always/release states
     recurring; states that lie on no cycle are fixed to non-recurring.
     """
-    subs = subformulas(phi)
+    subs = subterms([phi], children_first=True)
     names = _state_names(subs)
 
     def unfold(g, build):

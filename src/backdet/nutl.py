@@ -224,19 +224,6 @@ def _format_node(f, text) -> str:
     raise TypeError(f"not a nutl formula: {f!r}")
 
 
-def subformulas(roots) -> list[NutlFormula]:
-    """Distinct subformula nodes of one formula or a tuple, preorder."""
-    return subterms([roots] if isinstance(roots, NutlFormula) else roots)
-
-
-def free_vars(f: NutlFormula) -> frozenset:
-    return f.free
-
-
-def is_closed(f: NutlFormula) -> bool:
-    return not f.free
-
-
 @dataclass
 class _Analysis:
     """The dependence graph of a formula tuple: subformula vertices in
@@ -264,7 +251,7 @@ def _analyse(roots) -> _Analysis:
     components of a vector fix).  Each variable occurrence gets an edge to
     the body it selects in its binder.
     """
-    nodes = subformulas(roots)
+    nodes = subterms([roots] if isinstance(roots, NutlFormula) else roots)
     binders = {}
     for f in nodes:
         if not isinstance(f, Fix):
@@ -290,18 +277,12 @@ def _analyse(roots) -> _Analysis:
 
 
 def _cyclic_kinds(a: _Analysis):
-    """Each cyclic SCC with the fixed-point kinds of the variables and fix
-    nodes on it, as kind -> first such vertex in the component."""
+    """Each cyclic SCC with the set of fixed-point kinds of the variables
+    and fix nodes on it."""
     for comp in a.sccs:
-        if not graph.is_cyclic(comp, a.succ):
-            continue
-        kinds = {}
-        for f in comp:
-            if isinstance(f, Var):
-                kinds.setdefault(a.binders[f.name][0].kind, f)
-            elif isinstance(f, Fix):
-                kinds.setdefault(f.kind, f)
-        yield comp, kinds
+        if graph.is_cyclic(comp, a.succ):
+            yield comp, {a.binders[f.name][0].kind if isinstance(f, Var) else f.kind
+                         for f in comp if isinstance(f, (Var, Fix))}
 
 
 def _unguarded_cycle(a: _Analysis) -> list | None:
@@ -320,14 +301,8 @@ def _unguarded_cycle(a: _Analysis) -> list | None:
     return None
 
 
-def _alternating_walk(a: _Analysis) -> list | None:
-    for comp, kinds in _cyclic_kinds(a):
-        if MU in kinds and NU in kinds:
-            members = set(comp)
-            there = graph.path(kinds[MU], kinds[NU], a.succ, members)
-            back = graph.path(kinds[NU], kinds[MU], a.succ, members)
-            return there + back[1:-1]
-    return None
+def _alternating_component(a: _Analysis) -> list | None:
+    return next((comp for comp, kinds in _cyclic_kinds(a) if kinds == {MU, NU}), None)
 
 
 def check_guarded(phi) -> list | None:
@@ -339,8 +314,9 @@ def check_guarded(phi) -> list | None:
 
 def check_alternation_free(phi) -> list | None:
     """None if no cycle mixes least- and greatest-fixed-point recursion;
-    otherwise a closed walk through variables of both kinds."""
-    return _alternating_walk(_analyse(phi))
+    otherwise a cyclic component of the dependence graph (a list of
+    subformulas) that holds variables or fix nodes of both kinds."""
+    return _alternating_component(_analyse(phi))
 
 
 def _require_closed(roots):
@@ -360,7 +336,7 @@ def _require_translatable(roots) -> _Analysis:
             "formula is not guarded; cycle without a next-step operator: "
             + " -> ".join(format_nutl(f) for f in cycle[:6])
         )
-    if _alternating_walk(a) is not None:
+    if _alternating_component(a) is not None:
         raise SemanticError("formula has a fixed-point alternation on a cycle")
     return a
 
@@ -404,7 +380,7 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAltern
     build = _condition_builder(alphabet, names.__getitem__, a.unfold)
     delta = {names[f]: build(f) for f in a.nodes}
 
-    recurring = {names[f] for comp, kinds in _cyclic_kinds(a) if kinds.keys() == {NU} for f in comp}
+    recurring = {names[f] for comp, kinds in _cyclic_kinds(a) if kinds == {NU} for f in comp}
 
     initial_states = [names[f] for f in roots]
     waa = WeakAlternatingAutomaton(

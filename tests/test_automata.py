@@ -7,14 +7,13 @@ from backdet.automata import (
     NextState,
     Or,
     WeakAlternatingAutomaton,
-    condition_states,
-    condition_subformulas,
     dual_condition,
     dualize,
     is_very_weak,
     is_weak,
     validate_weak,
 )
+from backdet.node import subterms
 
 AB = Alphabet(("a", "b"))
 
@@ -29,10 +28,10 @@ def test_alphabet_sorted_and_validated():
 
 def test_condition_subformulas_children_first():
     c = Or(LetterSet({"a"}), And(NextState("q0"), NextState("q1")))
-    subs = condition_subformulas(c)
+    subs = subterms([c], children_first=True)
     assert subs[-1] is c
     assert subs.index(NextState("q0")) < subs.index(And(NextState("q0"), NextState("q1")))
-    assert condition_states(c) == {"q0", "q1"}
+    assert c.free == {"q0", "q1"}
 
 
 def test_dual_condition_involution():

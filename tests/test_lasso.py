@@ -59,7 +59,7 @@ def test_mask_primitives_follow_the_quotient_rule(case):
 
 def test_unrolled_same_word():
     w = LassoWord(("b",), ("a",))
-    w2 = w.unrolled(3)
+    w2 = LassoWord(w.prefix, w.period * 3)
     assert w2.period == ("a", "a", "a")
     assert [w2.letter(i) for i in range(6)] == [w.letter(i) for i in range(6)]
 
@@ -67,9 +67,7 @@ def test_unrolled_same_word():
 def test_accept_table_eventually():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
     w = LassoWord(("b",), ("a", "b"))
-    table = waa_accept_table(waa, w)
-    assert table[(0, "q_F_a")] and table[(1, "q_F_a")] and table[(2, "q_F_a")]
-    assert not table[(0, "q_a")] and table[(1, "q_a")]
+    assert waa_accept_table(waa, w) == ({"q_F_a"}, {"q_F_a", "q_a"}, {"q_F_a"})
     assert not waa_accepts_lasso(waa, "q_F_a", LassoWord((), ("b",)), 0)
 
 
@@ -77,6 +75,15 @@ def test_accept_table_always():
     waa = ltl_to_waa(parse_ltl("G a", AB), AB)
     assert waa_accepts_lasso(waa, "q_G_a", LassoWord((), ("a",)), 0)
     assert not waa_accepts_lasso(waa, "q_G_a", LassoWord(("a",), ("b", "a")), 0)
+
+
+def test_accepts_lasso_rejects_unknown_position_and_state():
+    waa = ltl_to_waa(parse_ltl("G a", AB), AB)
+    w = LassoWord((), ("a",))
+    with pytest.raises(ValueError, match="position 1 outside quotient range"):
+        waa_accepts_lasso(waa, "q_G_a", w, 1)
+    with pytest.raises(ValueError, match="unknown state 'q_F_a'"):
+        waa_accepts_lasso(waa, "q_F_a", w, 0)
 
 
 def test_final_run_eventually_frozen_families():
@@ -188,8 +195,21 @@ def test_multiple_final_runs_error_names_word_and_scc():
 
 def test_cross_validate_mismatch_reporting():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
-    report = cross_validate(waa, LassoWord((), ("a", "b")))
-    assert report.ok and not report.mismatches
+    w = LassoWord((), ("a", "b"))
+    report = cross_validate(waa, w)
+    assert report.ok and not report.failures and report.cases == 2
+    # a run of ; b a has the same quotient length, and q_a accepts at the
+    # other position
+    bda = BackwardDetAutomaton(waa)
+    report = cross_validate(waa, w, bda, bda_final_run(bda, LassoWord((), ("b", "a"))))
+    assert report.ok is False and report.cases == 2
+    pinned = [{k: f[k] for k in ("word", "position", "oracle", "bda", "family")} for f in report.failures]
+    assert pinned == [
+        {"word": " ; a b", "position": 0, "oracle": ["q_F_a", "q_a"], "bda": ["q_F_a"],
+         "family": "q_F_a=1 q_a=inf"},
+        {"word": " ; a b", "position": 1, "oracle": ["q_F_a"], "bda": ["q_F_a", "q_a"],
+         "family": "q_F_a=1 q_a=1"},
+    ]
 
 
 def test_language_member_waa_and_bda():
@@ -234,7 +254,7 @@ def test_final_runs_above_the_cap_match_the_ltl_semantics():
             table = waa_accept_table(waa, w)
             outs = run.outputs(bda)
             for i, (out, truth) in enumerate(zip(outs, ltl_truth_vector(phi, w))):
-                assert out == {q for q in waa.states if table[(i, q)]}, (str(phi), str(w), i)
+                assert out == table[i], (str(phi), str(w), i)
                 assert (q_phi in out) == truth, (str(phi), str(w), i)
 
 
@@ -315,7 +335,7 @@ def test_final_runs_of_random_weak_automata_match_the_oracle():
         bda = BackwardDetAutomaton(waa)
         for w in lassos:
             report = cross_validate(waa, w, bda)
-            assert report.ok, report.mismatches
+            assert report.ok, report.failures
     assert polarities == {True, False}
 
 
@@ -340,4 +360,4 @@ def test_final_runs_above_the_cap_of_five_state_sccs_match_the_oracle():
                 assert run.record(bda, i).result == run.families[i], (str(w), i)
             assert_outputs_and_fired(bda, run)
             report = cross_validate(waa, w, bda, run)
-            assert report.ok, report.mismatches
+            assert report.ok, report.failures

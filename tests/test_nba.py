@@ -13,7 +13,8 @@ from backdet.nba import (
     nba_to_bda,
     peel_ranks,
 )
-from backdet.nutl import format_nutl, nutl_eval_lasso, nutl_truth_set, parse_nutl, subformulas
+from backdet.node import subterms
+from backdet.nutl import format_nutl, nutl_eval_lasso, nutl_truth_set, parse_nutl
 from backdet.validation import random_nba
 
 AB = Alphabet(("a", "b"))
@@ -173,11 +174,11 @@ def test_rank_table_is_a_dag_linear_in_levels():
     nba = random_nba(random.Random(5), AB, n)
     res = nba_to_bda(nba)
     chi = res.formulas.chi
-    counts = [len(subformulas([f for level in chi[: i + 1] for f in level])) for i in range(2 * n)]
+    counts = [len(subterms([f for level in chi[: i + 1] for f in level])) for i in range(2 * n)]
     for i in range(3, 2 * n):
         assert counts[i] - counts[i - 2] == counts[3] - counts[1]
     # dualizing maps distinct nodes to distinct nodes
-    assert len(subformulas(list(res.formulas.final_tuple))) == counts[-1]
+    assert len(subterms(res.formulas.final_tuple)) == counts[-1]
     assert len(res.waa.states) == 2 * n * n
 
 
@@ -197,7 +198,7 @@ def test_rank_formulas_print_each_node_once_and_parse_back(n):
             assert parse_nutl(text, AB) is f
             # 12-17 characters per distinct node for n = 3-6; printed as
             # a tree, n = 3 takes about 500
-            assert len(text) <= 20 * len(subformulas(f))
+            assert len(text) <= 20 * len(subterms([f]))
 
 
 def test_rank_formulas_need_a_state():

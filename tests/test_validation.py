@@ -1,3 +1,4 @@
+from backdet import lasso, validation
 from backdet.automata import Alphabet, is_weak
 from backdet.lasso import LassoWord
 from backdet.validation import (
@@ -52,6 +53,28 @@ def test_sweeps_deterministic_under_seed():
     a = check_dual(seed=5, count=3)
     b = check_dual(seed=5, count=3)
     assert a.cases == b.cases and a.failures == b.failures
+
+
+def test_dual_sweep_names_each_position_and_state_that_does_not_flip(monkeypatch):
+    # with dualization replaced by the identity, every case fails
+    monkeypatch.setattr(validation, "dualize", lambda waa: waa)
+    r = check_dual(seed=5, count=1, u_max=1, v_max=1)
+    assert r.cases == len(r.failures) > 0
+    assert {(f["word"], f["position"]) for f in r.failures} == {
+        (str(w), i) for w in exhaustive_lassos(AB, 1, 1) for i in range(w.positions)
+    }
+    assert {f["reason"] for f in r.failures} == {"dual automaton agrees instead of flipping"}
+
+
+def test_ltl_sweep_reports_oracle_mismatches_with_their_formula(monkeypatch):
+    # an oracle that accepts nowhere differs wherever some state accepts;
+    # the formula semantics still agree with the backward outputs
+    monkeypatch.setattr(lasso, "waa_accept_table", lambda waa, w: (frozenset(),) * w.positions)
+    r = check_ltl(count=2, u_max=1, v_max=1)
+    assert r.failures
+    for f in r.failures:
+        assert f["reason"] == "output differs from automaton oracle"
+        assert f["formula"] and f["oracle"] == [] and f["bda"]
 
 
 def test_small_sweeps_pass():
