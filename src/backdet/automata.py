@@ -1,11 +1,12 @@
 """Weak alternating omega-automata over explicit alphabets.
 
 Transition conditions are positive boolean formulas over letter-set tests
-and next-state references; the free names of a condition (``cond.free``) are
-the states it references.  The transition graph of an automaton has an edge
-q -> q' whenever a reference to q' occurs in delta(q); weakness means every
-strongly connected component of that graph is polarity-pure (all recurring
-or all non-recurring).
+and next-state references, built with the ``Or`` and ``And`` nodes that
+formulas share (:mod:`backdet.node`); the free names of a condition
+(``cond.free``) are the states it references.  The transition graph of an
+automaton has an edge q -> q' whenever a reference to q' occurs in
+delta(q); weakness means every strongly connected component of that graph
+is polarity-pure (all recurring or all non-recurring).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import graph
-from .node import Node, subterms
+from .node import And, Node, Or, subterms
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,7 @@ class Alphabet:
         return len(self.letters)
 
 
-class Condition(Node):
-    """Base class for transition-condition nodes."""
-
-    __slots__ = ()
-
-
-class LetterSet(Condition):
+class LetterSet(Node):
     __slots__ = ("letters",)
 
     @staticmethod
@@ -52,22 +47,14 @@ class LetterSet(Condition):
         return (frozenset(letters),)
 
 
-class NextState(Condition):
+class NextState(Node):
     __slots__ = ("state",)
 
     def _free(self, _):
         return frozenset({self.state})
 
 
-class Or(Condition):
-    __slots__ = ("left", "right")
-
-
-class And(Condition):
-    __slots__ = ("left", "right")
-
-
-def fold(cond: Condition, atom, disj, conj):
+def fold(cond: Node, atom, disj, conj):
     """Bottom-up walk of a condition tree: ``atom`` maps each letter test and
     next-state reference to a value, ``disj`` and ``conj`` combine the values
     of an Or or And node's two children."""
@@ -80,7 +67,7 @@ def fold(cond: Condition, atom, disj, conj):
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def dual_condition(cond: Condition, alphabet: Alphabet) -> Condition:
+def dual_condition(cond: Node, alphabet: Alphabet) -> Node:
     def atom(c):
         if isinstance(c, LetterSet):
             return LetterSet(frozenset(alphabet.letters) - c.letters)
@@ -123,7 +110,6 @@ class WeakAlternatingAutomaton:
         self.recurring = frozenset(recurring)
         self.initial = None if initial is None else frozenset(initial)
         self._validate()
-        self._successors = {q: self.delta[q].free for q in self.states}
         self.sccs = scc_decompose(self)
         self._scc_of = {q: idx for idx, scc in enumerate(self.sccs) for q in scc.states}
 
@@ -146,10 +132,6 @@ class WeakAlternatingAutomaton:
             raise ValueError("recurring set contains undeclared states")
         if self.initial is not None and not self.initial <= declared:
             raise ValueError("initial set contains undeclared states")
-
-    def successors(self, q: str) -> frozenset:
-        """States referenced in delta(q); computed once per automaton."""
-        return self._successors[q]
 
     def scc_of(self, q: str) -> int:
         """Index of q's SCC in the topologically sorted SCC list."""
@@ -179,7 +161,7 @@ def scc_decompose(waa: WeakAlternatingAutomaton) -> list[SccInfo]:
     Components are emitted sinks-first, i.e. a component appears after every
     component it reaches.  A singleton without a self-edge is its own SCC.
     """
-    succ = {q: sorted(waa.successors(q)) for q in waa.states}
+    succ = {q: sorted(waa.delta[q].free) for q in waa.states}
     out = []
     for comp in graph.sccs(waa.states, succ):
         members = tuple(sorted(comp))

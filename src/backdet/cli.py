@@ -128,10 +128,9 @@ _CHECKS = {
 
 def cmd_check(args):
     fn = _CHECKS[args.mode]
-    kwargs = {"seed": args.seed}
-    if args.count is not None:
-        kwargs["count"] = args.count
-    report = fn(**kwargs)
+    # an option that is not given keeps the sweep's own default
+    given = {"seed": args.seed, "count": args.count}
+    report = fn(**{k: v for k, v in given.items() if v is not None})
     print(report.summary())
     if report.ok:
         return EXIT_OK
@@ -193,7 +192,7 @@ def build_parser():
 
     s = sub.add_parser("check", help="randomized validation sweeps")
     s.add_argument("--mode", choices=sorted(_CHECKS), required=True)
-    s.add_argument("--seed", type=int, default=7)
+    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--count", type=int, default=None)
     s.add_argument("--reproducer", default=None,
                    help="where to write counterexamples (JSON)")

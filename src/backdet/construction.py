@@ -57,14 +57,12 @@ class TransitionRecord:
 class SccTable(NamedTuple):
     """One SCC's value tuples over {1, ..., m, inf}, numbered by code in
     mixed radix (``itertools.product`` order); its states' indices in the
-    family; each tuple's mask of accepting states; and the Buchi indices
-    (s, i) of each fired mask (bit i-1 for index i)."""
+    family; and each tuple's mask of accepting states."""
 
     positions: tuple
     values: list
     code: dict
     accepting: list
-    fired: list
 
 
 class BackwardDetAutomaton:
@@ -97,7 +95,7 @@ class BackwardDetAutomaton:
         assert len(self.buchi_indices) == len(waa.states)
         # per SCC: the outside states its conditions read, as a state mask
         self.outside_mask = tuple(
-            sum(1 << pos[q] for q in frozenset().union(*map(waa.successors, scc.states)) - set(scc.states))
+            sum(1 << pos[q] for q in frozenset().union(*(waa.delta[r].free for r in scc.states)) - set(scc.states))
             for scc in waa.sccs
         )
         self.scc_tables = [None] * len(waa.sccs)
@@ -120,10 +118,7 @@ class BackwardDetAutomaton:
             # each tuple's acceptance mask sums the bits of its states' values
             bits = [[1 << p if accepts(v, scc.recurring) else 0 for v in domain] for p in positions]
             accepting = list(map(sum, itertools.product(*bits)))
-            fired = [()]  # fired[mask] lists each (s, i) whose bit i-1 is set
-            for i in range(1, scc.size + 1):
-                fired += [indices + ((s, i),) for indices in fired]
-            table = self.scc_tables[s] = SccTable(positions, values, code, accepting, fired)
+            table = self.scc_tables[s] = SccTable(positions, values, code, accepting)
         return table
 
     def scc_row(self, s: int, letter: str, outside: int) -> list:
@@ -214,7 +209,7 @@ class BackwardDetAutomaton:
             code, bits, m = row[codes[s]]
             for p, v in zip(table.positions, table.values[code]):
                 result[p] = v
-            fired += table.fired[bits]
+            fired += [(s, i) for i in range(1, len(table.positions) + 1) if bits >> i - 1 & 1]
             critical.append(m)
         return TransitionRecord(letter, family, tuple(result), frozenset(fired), tuple(critical))
 

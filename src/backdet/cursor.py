@@ -3,9 +3,10 @@ recursive-descent parsers.
 
 All three languages (LTL formulas, fixed-point formulas, transition
 conditions) are a ``|``-chain of ``&``-chains of operands, read from tokens
-over an alphabet.  A parser subclasses :class:`TokenCursor` and supplies only
-what differs: its token pattern, its ``Or`` and ``And`` node classes and its
-operand grammar.
+over an alphabet, and all three build the one :class:`~backdet.node.Or` and
+:class:`~backdet.node.And` node classes.  A parser subclasses
+:class:`TokenCursor` and supplies only what differs: its token pattern and
+its operand grammar.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import FormatError
+from .node import And, Or
 
 
 class TokenCursor:
@@ -27,12 +29,11 @@ class TokenCursor:
     text in end-of-input errors.
 
     :meth:`parse` reads the whole text as a ``|``-chain of ``&``-chains of
-    the subclass's ``operand()``, grouped to the left by its ``Or`` and
-    ``And`` node classes, and rejects input left over.
+    the subclass's ``operand()``, grouped to the left into ``Or`` and ``And``
+    nodes, and rejects input left over.
     """
 
     what = "formula"
-    Or = And = None
 
     def __init_subclass__(cls):
         cls.scan = re.compile(rf"\s*(?:({cls.token})|(\S))").finditer
@@ -83,7 +84,7 @@ class TokenCursor:
         return f
 
     def parse_or(self):
-        return self.chain("|", self.parse_and, self.Or)
+        return self.chain("|", self.parse_and, Or)
 
     def parse_and(self):
-        return self.chain("&", self.operand, self.And)
+        return self.chain("&", self.operand, And)

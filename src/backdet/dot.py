@@ -31,7 +31,7 @@ def waa_to_dot(waa: WeakAlternatingAutomaton) -> str:
         lines.append("  }")
     for q in waa.states:
         label = _dot_escape(format_condition(waa.delta[q]))
-        for q2 in sorted(waa.successors(q)):
+        for q2 in sorted(waa.delta[q].free):
             lines.append(f'  "{_dot_escape(q)}" -> "{_dot_escape(q2)}";')
         lines.append(f'  "{_dot_escape(q)}" [xlabel="{label}"];')
     lines.append("}")

@@ -29,17 +29,17 @@ empty ('; a b').
 
 from __future__ import annotations
 
-from .automata import Alphabet, And, Condition, LetterSet, NextState, Or, WeakAlternatingAutomaton
+from .automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton
 from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
 from .nba import NBA
+from .node import Node
 
 
 class _CondParser(TokenCursor):
     token = r"[\[\]()&|]|[^\s\[\]()&|]+"
     what = "condition"
-    Or, And = Or, And
 
     def __init__(self, text, alphabet, states):
         super().__init__(text, alphabet)
@@ -71,11 +71,11 @@ class _CondParser(TokenCursor):
         raise FormatError(f"unexpected token in condition: {tok!r}", at)
 
 
-def parse_condition(text: str, alphabet: Alphabet, states) -> Condition:
+def parse_condition(text: str, alphabet: Alphabet, states) -> Node:
     return _CondParser(text, alphabet, set(states)).parse()
 
 
-def format_condition(cond: Condition, parent_and: bool = False) -> str:
+def format_condition(cond: Node, parent_and: bool = False) -> str:
     if isinstance(cond, LetterSet):
         return "[" + " ".join(sorted(cond.letters)) + "]"
     if isinstance(cond, NextState):

@@ -8,8 +8,6 @@ of each successor list, so its output is reproducible whenever they are.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 def sccs(nodes, succ) -> list[list]:
     """Strongly connected components, by an iterative Tarjan search.
@@ -107,23 +105,3 @@ def reaches(nodes, succ, targets) -> set:
                 reached.add(v)
                 todo.append(v)
     return reached
-
-
-def path(src, dst, succ, allowed) -> list | None:
-    """A shortest path from ``src`` to ``dst`` whose nodes after ``src`` lie
-    in ``allowed``, as a list of nodes from src to dst; None if there is
-    none.  Breadth first, so a successor found earlier is preferred."""
-    prev = {src: None}
-    queue = deque([src])
-    while queue and dst not in prev:
-        v = queue.popleft()
-        for w in succ[v]:
-            if w in allowed and w not in prev:
-                prev[w] = v
-                queue.append(w)
-    if dst not in prev:
-        return None
-    out = [dst]
-    while out[-1] != src:
-        out.append(prev[out[-1]])
-    return out[::-1]

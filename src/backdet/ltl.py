@@ -2,23 +2,25 @@
 
 Formulas are built over the letters of an explicit alphabet; negation is
 only allowed directly on letters.  LTL is a fragment of the fixed-point
-calculus of :mod:`backdet.nutl`: its letter, negated-letter, next-step,
-``|`` and ``&`` nodes are the ones declared there, and this module declares
-only F, G, U and R.  The translation produces a very weak alternating
-automaton with one state per distinct subformula; it builds conditions with
-the fixed-point frontend's builder and unfolds F, G, U and R one step ahead.
+calculus of :mod:`backdet.nutl`: its letter, negated-letter and next-step
+nodes are the ones declared there, its ``|`` and ``&`` nodes the ones that
+formulas and conditions share (:mod:`backdet.node`), and this module
+declares only F, G, U and R.  The translation produces a very weak
+alternating automaton with one state per distinct subformula; it builds
+conditions with the fixed-point frontend's builder and unfolds F, G, U and
+R one step ahead.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .automata import Alphabet, And as CAnd, NextState, Or as COr, WeakAlternatingAutomaton
+from .automata import Alphabet, NextState, WeakAlternatingAutomaton
 from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
-from .node import Node, subterms
-from .nutl import _SWAP, And, Letter, NegLetter, Next, Or, _condition_builder
+from .node import And, Node, Or, subterms
+from .nutl import _SWAP, Letter, NegLetter, Next, _condition_builder
 
 
 class Eventually(Node):
@@ -69,7 +71,6 @@ class _LtlParser(TokenCursor):
     """Precedence (loosest first): |, &, U/R (right-assoc), unary X F G."""
 
     token = r"[()!&|]|[A-Za-z_][A-Za-z0-9_]*"
-    Or, And = Or, And
 
     def operand(self):
         f = self.parse_unary()
@@ -156,13 +157,13 @@ def ltl_to_waa(phi: Node, alphabet: Alphabet) -> WeakAlternatingAutomaton:
         """F, G, U and R one step ahead, with g's own state next."""
         here = NextState(names[g])
         if isinstance(g, Eventually):
-            return COr(build(g.operand), here)
+            return Or(build(g.operand), here)
         if isinstance(g, Always):
-            return CAnd(build(g.operand), here)
+            return And(build(g.operand), here)
         if isinstance(g, Until):
-            return COr(build(g.right), CAnd(build(g.left), here))
+            return Or(build(g.right), And(build(g.left), here))
         # Release: _state_names has rejected every class outside _TABLE
-        return CAnd(build(g.right), COr(build(g.left), here))
+        return And(build(g.right), Or(build(g.left), here))
 
     build = _condition_builder(alphabet, names.__getitem__, unfold)
     delta = {names[g]: build(g) for g in subs}

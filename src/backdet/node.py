@@ -1,4 +1,5 @@
-"""Hash-consed formula and condition nodes, and one walk over their DAG.
+"""Hash-consed formula and condition nodes, the ``|`` and ``&`` nodes they
+share, and one walk over their DAG.
 
 Every node is interned: building a node whose class and fields match a live
 node returns that node (after Filliatre and Conchon, "Type-safe modular
@@ -13,6 +14,10 @@ and ``free``, the frozenset union of the children's free names, which a
 ``_free(node, names)`` hook may adjust (a variable gives its name, a binder
 removes its own).  A class may define ``_check(*fields)`` to validate or
 normalize the field values; it returns the values to store.
+
+:class:`Or` and :class:`And` are declared here, once: the transition
+conditions of an automaton are positive boolean formulas, so LTL formulas,
+fixed-point formulas and conditions all build the same two classes.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ class Node:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class Or(Node):
+    __slots__ = ("left", "right")
+
+
+class And(Node):
+    __slots__ = ("left", "right")
 
 
 def subterms(roots, children_first: bool = False) -> list:

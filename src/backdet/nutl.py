@@ -3,10 +3,11 @@
 Formulas are built from letters, negated letters, variables, a next-step
 operator, boolean connectives, and vectorial least/greatest fixed points
 ``mu_i (X0,...,Xr-1).(phi0; ...; phir-1)`` selecting component i.  This
-module declares those nodes.  LTL is a fragment of this calculus (Vardi,
-POPL 1988): :mod:`backdet.ltl` uses the letter, negated-letter, next-step,
-``|`` and ``&`` nodes declared here and adds only F, G, U and R, and one
-condition builder serves the translations of both.
+module declares those nodes, except ``|`` and ``&``, which formulas and
+transition conditions share (:mod:`backdet.node`).  LTL is a fragment of
+this calculus (Vardi, POPL 1988): :mod:`backdet.ltl` uses the letter,
+negated-letter and next-step nodes declared here and adds only F, G, U and
+R, and one condition builder serves the translations of both.
 
 Nodes are hash-consed (:mod:`backdet.node`): structurally identical
 subformulas are one object, and equality is identity.  A variable may
@@ -42,49 +43,37 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .automata import Alphabet, And as CAnd, LetterSet, NextState, Or as COr, WeakAlternatingAutomaton
+from .automata import Alphabet, LetterSet, NextState, WeakAlternatingAutomaton
 from . import graph
 from .cursor import TokenCursor
 from .errors import FormatError, SemanticError
 from .lasso import LassoWord
-from .node import Node, subterms
+from .node import And, Node, Or, subterms
 
 MU = "mu"
 NU = "nu"
 
 
-class NutlFormula(Node):
-    __slots__ = ()
-
-
-class Letter(NutlFormula):
+class Letter(Node):
     __slots__ = ("name",)
 
 
-class NegLetter(NutlFormula):
+class NegLetter(Node):
     __slots__ = ("name",)
 
 
-class Var(NutlFormula):
+class Var(Node):
     __slots__ = ("name",)
 
     def _free(self, _):
         return frozenset({self.name})
 
 
-class Next(NutlFormula):
+class Next(Node):
     __slots__ = ("operand",)
 
 
-class Or(NutlFormula):
-    __slots__ = ("left", "right")
-
-
-class And(NutlFormula):
-    __slots__ = ("left", "right")
-
-
-class Fix(NutlFormula):
+class Fix(Node):
     __slots__ = ("kind", "index", "vars", "bodies")
 
     @staticmethod
@@ -108,7 +97,6 @@ _FIX_NAME = re.compile(r"^(mu|nu)_(\d+)$")
 
 class _NutlParser(TokenCursor):
     token = r"[().;,|&!=]|@\d+|[A-Za-z_][A-Za-z0-9_]*"
-    Or, And = Or, And
 
     def parse(self):
         """Definitions ``@k = <formula>;``, then the formula."""
@@ -184,11 +172,11 @@ class _NutlParser(TokenCursor):
             raise FormatError(str(e), at) from None
 
 
-def parse_nutl(text: str, alphabet: Alphabet) -> NutlFormula:
+def parse_nutl(text: str, alphabet: Alphabet) -> Node:
     return _NutlParser(text, alphabet).parse()
 
 
-def format_nutl(f: NutlFormula) -> str:
+def format_nutl(f: Node) -> str:
     """The text of ``f``: each non-leaf node with two or more parents (a
     fix counts once per body it holds) is printed once, as a definition
     ``@k = <formula>;`` in front of the formula, and named ``@k`` after."""
@@ -251,7 +239,7 @@ def _analyse(roots) -> _Analysis:
     components of a vector fix).  Each variable occurrence gets an edge to
     the body it selects in its binder.
     """
-    nodes = subterms([roots] if isinstance(roots, NutlFormula) else roots)
+    nodes = subterms([roots] if isinstance(roots, Node) else roots)
     binders = {}
     for f in nodes:
         if not isinstance(f, Fix):
@@ -295,9 +283,10 @@ def _unguarded_cycle(a: _Analysis) -> list | None:
     }
     for comp in graph.sccs(list(sub), sub):
         if graph.is_cyclic(comp, sub):
-            start, members = comp[0], set(comp)
-            first = next(w for w in sub[start] if w in members)
-            return [start] + graph.path(first, start, sub, members)[:-1]
+            # each member has a successor inside; following the first
+            # such successor from every member walks into a cycle
+            members = set(comp)
+            return graph.functional_cycles({f: next(w for w in sub[f] if w in members) for f in comp})[0]
     return None
 
 
@@ -344,8 +333,8 @@ def _require_translatable(roots) -> _Analysis:
 def _condition_builder(alphabet, state_of, unfold):
     """Transition condition of a formula node: a letter is tested at the
     current position, a next-step operand f becomes the state
-    ``state_of(f)``, ``|`` and ``&`` become the condition's, and every other
-    node g becomes ``unfold(g, build)``.  Both the fixed-point and the LTL
+    ``state_of(f)``, ``|`` and ``&`` join their operands' conditions, and
+    every other node g becomes ``unfold(g, build)``.  Both the fixed-point and the LTL
     translation build their conditions here."""
 
     @functools.cache
@@ -356,10 +345,8 @@ def _condition_builder(alphabet, state_of, unfold):
             return LetterSet(frozenset(alphabet.letters) - {f.name})
         if isinstance(f, Next):
             return NextState(state_of(f.operand))
-        if isinstance(f, Or):
-            return COr(build(f.left), build(f.right))
-        if isinstance(f, And):
-            return CAnd(build(f.left), build(f.right))
+        if isinstance(f, (Or, And)):
+            return type(f)(build(f.left), build(f.right))
         return unfold(f, build)
 
     return build
@@ -438,7 +425,7 @@ def _alphabet_of(nodes) -> Alphabet:
 _SWAP = {Letter: NegLetter, NegLetter: Letter, Or: And, And: Or, Next: Next, MU: NU, NU: MU}
 
 
-def dual_nutl(f: NutlFormula) -> NutlFormula:
+def dual_nutl(f: Node) -> Node:
     """De Morgan dual: complements the defined language; an involution.
     Each distinct subformula is dualized once.  The dual keeps the variable
     names, so a tuple holding a formula and its dual binds each name twice,
@@ -509,7 +496,7 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
     return [frozenset(j for j, m in enumerate(truths) if m >> i & 1) for i in range(w.positions)]
 
 
-def nutl_truth_set(phi: NutlFormula, w: LassoWord) -> frozenset:
+def nutl_truth_set(phi: Node, w: LassoWord) -> frozenset:
     """Positions where a single closed formula holds."""
     return frozenset(
         i for i, s in enumerate(nutl_eval_lasso([phi], w)) if 0 in s

@@ -37,6 +37,7 @@ from .lasso import (
 from . import ltl, nutl
 from .ltl import ltl_to_waa, ltl_truth_vector, random_ltl
 from .nba import NBA, build_rank_formulas, nba_accepts_lasso, nba_to_bda, peel_ranks
+from .node import Node
 
 
 def exhaustive_lassos(alphabet: Alphabet, u_max: int, v_max: int):
@@ -176,7 +177,7 @@ def check_dual(
     return report
 
 
-def random_nutl(rng, alphabet: Alphabet, depth: int = 3, scope=()) -> nutl.NutlFormula:
+def random_nutl(rng, alphabet: Alphabet, depth: int = 3, scope=()) -> Node:
     """Random closed guarded formula: variables only occur under a next
     operator, so every dependence cycle crosses one."""
     letters = list(alphabet)
@@ -290,8 +291,9 @@ def check_nba(
                         report.fail(word=str(w), level=i, state=q,
                                     reason="rank formula disagrees with peeling",
                                     formula_value=sorted(chi_val), peeling=sorted(expect))
+            direct = {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}
             for j, q in enumerate(nba.states):
-                if (len(flat) + j in truth[0]) != nba_accepts_lasso(nba, w, q, 0):
+                if (len(flat) + j in truth[0]) != (q in direct):
                     report.fail(word=str(w), state=q,
                                 reason="negated top-level formula disagrees with acceptance")
             if pipeline is not None:
@@ -301,7 +303,6 @@ def check_nba(
                     report.fail(word=str(w), reason=str(e))
                     continue
                 accepted = pipeline.accepting_states(run, 0)
-                direct = {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}
                 if accepted != direct:
                     report.fail(word=str(w), reason="pipeline language differs",
                                 pipeline=sorted(accepted), nba=sorted(direct))

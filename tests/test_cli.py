@@ -204,3 +204,20 @@ def test_check_counterexample_writes_reproducer(capsys, tmp_path, monkeypatch):
     assert code == cli.EXIT_COUNTEREXAMPLE
     data = json.loads(repro.read_text())
     assert data[0]["reason"] == "synthetic"
+
+
+@pytest.mark.parametrize("argv, given", [((), {}), (("--seed", "5"), {"seed": 5})])
+def test_check_passes_the_seed_only_when_given(capsys, monkeypatch, argv, given):
+    # without --seed the sweep runs at its own default seed (dual: 11)
+    from backdet import validation
+
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return validation.check_dual(**kwargs)
+
+    monkeypatch.setitem(cli._CHECKS, "dual", spy)
+    code, out, _ = run_cli(capsys, "check", "--mode", "dual", "--count", "2", *argv)
+    assert code == 0 and "dual: pass" in out
+    assert calls == [{"count": 2, **given}]

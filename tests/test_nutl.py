@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from backdet.automata import Alphabet, is_weak
@@ -5,7 +7,6 @@ from backdet.construction import BackwardDetAutomaton
 from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, bda_final_run, waa_accept_table
 from backdet.nutl import (
-    And,
     Fix,
     Letter,
     MU,
@@ -23,7 +24,8 @@ from backdet.nutl import (
     nutl_truth_set,
     parse_nutl,
 )
-from backdet.validation import exhaustive_lassos
+from backdet.node import subterms
+from backdet.validation import exhaustive_lassos, random_nutl
 
 AB = Alphabet(("a", "b"))
 
@@ -84,17 +86,53 @@ def test_closed_and_free():
     assert parse_nutl("O Z", AB).free == {"Z"}
 
 
-def _dependence_edge(f, g, binders):
+def _dependences(f, binders):
+    """The dependence successors of ``f``: a fix node and a variable lead to
+    the body they select, any other node to its children."""
     if isinstance(f, Fix):
-        return g == f.bodies[f.index]
+        return [f.bodies[f.index]]
     if isinstance(f, Var):
         fix, j = binders[f.name]
-        return g == fix.bodies[j]
-    if isinstance(f, Next):
-        return g == f.operand
-    if isinstance(f, (Or, And)):
-        return g in (f.left, f.right)
+        return [fix.bodies[j]]
+    return list(f.children)
+
+
+def _binders(phi):
+    return {name: (f, j) for f in subterms([phi]) if isinstance(f, Fix) for j, name in enumerate(f.vars)}
+
+
+def _has_unguarded_cycle(phi, binders):
+    """Whether some variable reaches itself by dependence edges that pass no
+    next-step vertex; the subformula DAG is acyclic, so every dependence
+    cycle passes a variable."""
+    for v in subterms([phi]):
+        if not isinstance(v, Var):
+            continue
+        seen, todo = set(), _dependences(v, binders)
+        while todo:
+            f = todo.pop()
+            if f is v:
+                return True
+            if f not in seen and not isinstance(f, Next):
+                seen.add(f)
+                todo += _dependences(f, binders)
     return False
+
+
+def _unguard(f, rng):
+    """``f`` with some next steps on a variable, ``O X``, replaced by ``X``."""
+    if isinstance(f, Next) and isinstance(f.operand, Var) and rng.random() < 0.5:
+        return f.operand
+    if isinstance(f, Fix):
+        return Fix(f.kind, f.index, f.vars, tuple(_unguard(b, rng) for b in f.bodies))
+    return type(f)(*(_unguard(c, rng) for c in f.children)) if f.children else f
+
+
+def _assert_unguarded_witness(cycle, binders):
+    assert cycle
+    assert not any(isinstance(f, Next) for f in cycle)
+    for f, g in zip(cycle, cycle[1:] + cycle[:1]):
+        assert g in _dependences(f, binders), (f, g)
 
 
 def test_guardedness():
@@ -104,12 +142,22 @@ def test_guardedness():
     # X and Y call each other unguarded; the O on X's left is off the cycle
     pair = parse_nutl("nu_0 (X,Y).(O a & (b | Y); a & X)", AB)
     for phi in (unguarded, pair):
-        binders = {name: (phi, j) for j, name in enumerate(phi.vars)}
-        cycle = check_guarded(phi)
-        assert cycle
-        assert not any(isinstance(f, Next) for f in cycle)
-        for f, g in zip(cycle, cycle[1:] + cycle[:1]):
-            assert _dependence_edge(f, g, binders), (f, g)
+        _assert_unguarded_witness(check_guarded(phi), _binders(phi))
+    # random_nutl puts every variable under a next step; dropping some of
+    # those steps makes some formulas unguarded and leaves others guarded
+    rng = random.Random(5)
+    flagged = 0
+    for _ in range(400):
+        phi = random_nutl(rng, AB, depth=4)
+        assert check_guarded(phi) is None
+        psi = _unguard(phi, rng)
+        binders = _binders(psi)
+        cycle = check_guarded(psi)
+        assert (cycle is not None) == _has_unguarded_cycle(psi, binders), format_nutl(psi)
+        if cycle is not None:
+            flagged += 1
+            _assert_unguarded_witness(cycle, binders)
+    assert flagged >= 40
 
 
 def test_alternation_freeness():
