@@ -6,6 +6,9 @@ vertices that see no Buchi state), assigning even/odd ranks; a vertex keeps
 rank infinity exactly when some run from it hits the Buchi set infinitely
 often.  The rank predicates are definable by vectorial fixed-point
 formulas, whose negations feed the weak-alternating-to-backward pipeline.
+
+The oracle :func:`nba_accept_table` answers one frozenset of accepting
+states per quotient position, as ``BackwardRun.outputs`` does.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ class NBA:
     def __init__(self, alphabet, states, initial, transitions, buchi):
         alphabet = alphabet if isinstance(alphabet, Alphabet) else Alphabet(tuple(alphabet))
         states = tuple(sorted(states))
+        if len(set(states)) != len(states):
+            raise ValueError("duplicate state ids")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "initial", frozenset(initial))
@@ -79,38 +84,40 @@ def _reaches_cycle(vertices, succ, buchi=None):
     return graph.reaches(vertices, succ, on_cycles)
 
 
+def nba_accept_table(nba: NBA, w: LassoWord) -> tuple:
+    """The NBA states accepting the suffix at each quotient position, one
+    frozenset per position, the shape of :meth:`BackwardRun.outputs`."""
+    succ = _quotient_graph(nba, w)
+    accepting = _reaches_cycle(list(succ), succ, nba.buchi)
+    return tuple(
+        frozenset(q for q in nba.states if (i, q) in accepting) for i in range(w.positions)
+    )
+
+
 def nba_accepts_lasso(nba: NBA, w: LassoWord, q: str, i: int = 0) -> bool:
     """True iff some run from q over the suffix at position i visits the
-    Buchi set infinitely often; decided on the quotient by reachability to
-    a cycle through a Buchi-tagged vertex."""
+    Buchi set infinitely often: one vertex of :func:`nba_accept_table`."""
     if not 0 <= i < w.positions:
         raise ValueError(f"position {i} outside quotient range")
+    if q not in nba.states:
+        raise ValueError(f"unknown state {q!r}")
     succ = _quotient_graph(nba, w)
     return (i, q) in _reaches_cycle(list(succ), succ, nba.buchi)
 
 
 @dataclass
 class QuotientRunDag:
-    """Quotient run DAG with peeling results.
+    """``ranks`` maps each (position, state) vertex of the quotient run DAG
+    to its canonical rank: a natural number below twice the state count, or
+    INF for the vertices that reach a cycle through a Buchi vertex."""
 
-    ``ranks`` maps each (position, state) vertex to its canonical rank (a
-    natural number below twice the state count, or INF); ``b_recurring``
-    holds the vertices of rank INF, those that reach a cycle through a
-    Buchi vertex.
-    """
-
-    word: LassoWord
-    succ: dict
-    b_recurring: set
     ranks: dict
-    rounds: int
 
 
 def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
     """Alternately strip finitary and Buchi-free vertices, ranking them
     2i and 2i+1 per round; what survives is Buchi-recurring (rank INF)."""
     succ = _quotient_graph(nba, w)
-    vertices = set(succ)
 
     def finitary_in(alive):
         return alive - _reaches_cycle(alive, _restrict(succ, alive))
@@ -119,10 +126,8 @@ def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
         tagged = {v for v in alive if v[1] in nba.buchi}
         return alive - graph.reaches(alive, _restrict(succ, alive), tagged)
 
-    b_recurring = _reaches_cycle(vertices, succ, nba.buchi)
-
     ranks = {}
-    alive = set(vertices)
+    alive = set(succ)
     rounds = 0
     while alive:
         fin = finitary_in(alive)
@@ -139,8 +144,9 @@ def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
     for v in alive:
         ranks[v] = INF
     assert rounds <= len(nba.states), "peeling must terminate within n rounds"
-    assert alive == b_recurring, "peeling residue must be the Buchi-recurring vertices"
-    return QuotientRunDag(w, succ, b_recurring, ranks, rounds)
+    recurring = _reaches_cycle(list(succ), succ, nba.buchi)
+    assert alive == recurring, "peeling residue must be the Buchi-recurring vertices"
+    return QuotientRunDag(ranks)
 
 
 @dataclass
@@ -151,7 +157,6 @@ class RankFormulaTable:
     j is true at a position exactly when q_j accepts the suffix there.
     """
 
-    nba: NBA
     chi: list
     final_tuple: tuple
 
@@ -211,7 +216,7 @@ def build_rank_formulas(nba: NBA) -> RankFormulaTable:
         chi.append([Fix(kind, j, names, tuple(bodies)) for j in range(n)])
 
     final = tuple(dual_nutl(chi[2 * n - 1][j]) for j in range(n))
-    return RankFormulaTable(nba, chi, final)
+    return RankFormulaTable(chi, final)
 
 
 @dataclass
@@ -222,14 +227,13 @@ class NbaPipelineResult:
     initial_states: list
     bda: BackwardDetAutomaton
 
-    def accepting_states(self, run, position: int = 0) -> set:
-        """NBA states accepting the suffix, read off the final run output."""
-        out = run.output(self.bda, position)
-        return {
-            self.nba.states[j]
-            for j, name in enumerate(self.initial_states)
-            if name in out
-        }
+    def outputs(self, run) -> tuple:
+        """The NBA states accepting at each quotient position, read off the
+        final run's outputs; the shape of :func:`nba_accept_table`."""
+        return tuple(
+            frozenset(q for q, name in zip(self.nba.states, self.initial_states) if name in out)
+            for out in run.outputs(self.bda)
+        )
 
 
 def nba_to_bda(nba: NBA) -> NbaPipelineResult:

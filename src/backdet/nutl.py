@@ -494,10 +494,3 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
 
     truths = [ev(f, {}) for f in roots]
     return [frozenset(j for j, m in enumerate(truths) if m >> i & 1) for i in range(w.positions)]
-
-
-def nutl_truth_set(phi: Node, w: LassoWord) -> frozenset:
-    """Positions where a single closed formula holds."""
-    return frozenset(
-        i for i, s in enumerate(nutl_eval_lasso([phi], w)) if 0 in s
-    )

@@ -3,10 +3,11 @@
 Every sweep pits a construction against an independent semantic route and
 collects structured counterexamples in a :class:`CheckReport`; the CLI
 check command and the acceptance test suite are thin wrappers around these
-functions.  The direct automaton oracle answers in the shape of the run's
-outputs, one set of accepting states per position, so a sweep compares a
-backward run with it through :func:`cross_validate` and reads ``table[i]``
-otherwise.
+functions.  The automaton and Buchi oracles answer in the shape of the
+run's outputs, one set of accepting states per position, and the Kleene
+evaluator one set of true components per position; a sweep compares a
+backward run with the automaton oracle through :func:`cross_validate` and
+reads ``table[i]`` otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .lasso import (
 )
 from . import ltl, nutl
 from .ltl import ltl_to_waa, ltl_truth_vector, random_ltl
-from .nba import NBA, build_rank_formulas, nba_accepts_lasso, nba_to_bda, peel_ranks
+from .nba import NBA, build_rank_formulas, nba_accept_table, nba_to_bda, peel_ranks
 from .node import Node
 
 
@@ -229,12 +230,12 @@ def check_nutl(
             waa_opt, init_opt = nutl.nutl_to_waa_optimized([phi], alphabet)
         except SemanticError:
             waa_opt = None
-        dual = nutl.dual_nutl(phi)
+        pair = [phi, nutl.dual_nutl(phi)]
         for w in lassos:
             report.cases += 1
-            truth = nutl.nutl_truth_set(phi, w)
-            dual_truth = nutl.nutl_truth_set(dual, w)
-            if dual_truth != frozenset(range(w.positions)) - truth:
+            # component 0 is phi and component 1 its dual at each position
+            truth = nutl.nutl_eval_lasso(pair, w)
+            if any((0 in s) == (1 in s) for s in truth):
                 report.fail(formula=nutl.format_nutl(phi), word=str(w),
                             reason="dual formula is not the complement")
             try:
@@ -242,13 +243,13 @@ def check_nutl(
             except FinalRunError as e:
                 report.fail(formula=nutl.format_nutl(phi), word=str(w), reason=str(e))
                 continue
-            for i in range(w.positions):
-                if (init in run.output(bda, i)) != (i in truth):
+            for i, s in enumerate(truth):
+                if (init in run.output(bda, i)) != (0 in s):
                     report.fail(formula=nutl.format_nutl(phi), word=str(w), position=i,
                                 reason="backward outputs differ from Kleene semantics")
             if waa_opt is not None:
                 for i, accepted in enumerate(waa_accept_table(waa_opt, w)):
-                    if (init_opt[0] in accepted) != (i in truth):
+                    if (init_opt[0] in accepted) != (0 in truth[i]):
                         report.fail(formula=nutl.format_nutl(phi), word=str(w), position=i,
                                     reason="optimized translation changes the language")
     return report
@@ -291,21 +292,22 @@ def check_nba(
                         report.fail(word=str(w), level=i, state=q,
                                     reason="rank formula disagrees with peeling",
                                     formula_value=sorted(chi_val), peeling=sorted(expect))
-            direct = {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}
-            for j, q in enumerate(nba.states):
-                if (len(flat) + j in truth[0]) != (q in direct):
-                    report.fail(word=str(w), state=q,
-                                reason="negated top-level formula disagrees with acceptance")
+            direct = nba_accept_table(nba, w)
+            for k, accepted in enumerate(direct):
+                for j, q in enumerate(nba.states):
+                    if (len(flat) + j in truth[k]) != (q in accepted):
+                        report.fail(word=str(w), position=k, state=q,
+                                    reason="negated top-level formula disagrees with acceptance")
             if pipeline is not None:
                 try:
                     run = bda_final_run(pipeline.bda, w)
                 except FinalRunError as e:
                     report.fail(word=str(w), reason=str(e))
                     continue
-                accepted = pipeline.accepting_states(run, 0)
-                if accepted != direct:
-                    report.fail(word=str(w), reason="pipeline language differs",
-                                pipeline=sorted(accepted), nba=sorted(direct))
+                for k, (got, accepted) in enumerate(zip(pipeline.outputs(run), direct)):
+                    if got != accepted:
+                        report.fail(word=str(w), position=k, reason="pipeline language differs",
+                                    pipeline=sorted(got), nba=sorted(accepted))
     return report
 
 

@@ -17,7 +17,7 @@ from backdet.lasso import (
     waa_accept_table,
 )
 from backdet.ltl import _state_names, ltl_to_waa, ltl_truth_vector, random_ltl
-from backdet.nba import nba_accepts_lasso, nba_to_bda
+from backdet.nba import nba_accept_table, nba_to_bda
 from backdet.node import subterms
 from backdet.nutl import nutl_eval_lasso
 from backdet.validation import (
@@ -233,10 +233,7 @@ def test_criterion_7_nba_pipeline():
             )
         for w in lassos:
             cases += 1
-            run = bda_final_run(res.bda, w)
-            got = res.accepting_states(run, 0)
-            expect = {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}
-            if got != expect:
+            if res.outputs(bda_final_run(res.bda, w)) != nba_accept_table(nba, w):
                 lang_bad.append(str(w))
     ok = not lang_bad and not shape_bad
     report(
@@ -260,8 +257,7 @@ def test_nba_pipeline_at_four_states():
         assert {frozenset(scc.states) for scc in res.waa.sccs} == predicted_rank_sccs(nba)
         largest = max(largest, *(scc.size for scc in res.waa.sccs))
         for w in lassos:
-            got = res.accepting_states(bda_final_run(res.bda, w), 0)
-            assert got == {q for q in nba.states if nba_accepts_lasso(nba, w, q, 0)}, str(w)
+            assert res.outputs(bda_final_run(res.bda, w)) == nba_accept_table(nba, w), str(w)
     assert largest == 4 and len(lassos) == 34
 
 
@@ -301,8 +297,11 @@ def test_criterion_8_quotient_soundness():
         nba = random_nba(rng, AB, 2)
         for w in words[:10]:
             w2 = LassoWord(w.prefix, w.period * 2)
-            for q in nba.states:
-                if nba_accepts_lasso(nba, w, q, 0) != nba_accepts_lasso(nba, w2, q, 0):
+            t1 = nba_accept_table(nba, w)
+            t2 = nba_accept_table(nba, w2)
+            for i in range(w2.positions):
+                differ = t2[i] ^ t1[doubled_index(w, i)]
+                if differ:
                     ok = False
-                    detail = f"nba acceptance differs on {w}"
+                    detail = f"nba acceptance differs at {w} pos {i} states {sorted(differ)}"
     report(8, ok, "period doubling changes no per-position answer " + detail)

@@ -100,6 +100,14 @@ def test_nba2nutl_block_count(tmp_path, capsys):
     parse_nutl(lines[0], Alphabet(("a", "b")))
 
 
+def test_nba2nutl_rejects_duplicate_states(tmp_path, capsys):
+    nba_file = tmp_path / "nba.txt"
+    nba_file.write_text("alphabet: a b\nstates: q q\ninitial: q\nbuchi: q\ntrans q a q\n")
+    code, _, err = run_cli(capsys, "nba2nutl", str(nba_file))
+    assert code == cli.EXIT_SEMANTIC
+    assert "duplicate state ids" in err
+
+
 def test_nba2nutl_text_translates_to_the_pipeline_automaton(tmp_path, capsys):
     text = (
         "alphabet: a b\nstates: q0 q1 q2\ninitial: q0\nbuchi: q1\n"

@@ -9,13 +9,14 @@ from backdet.lasso import LassoWord, bda_final_run
 from backdet.nba import (
     NBA,
     build_rank_formulas,
+    nba_accept_table,
     nba_accepts_lasso,
     nba_to_bda,
     peel_ranks,
 )
 from backdet.node import subterms
-from backdet.nutl import format_nutl, nutl_eval_lasso, nutl_truth_set, parse_nutl
-from backdet.validation import random_nba
+from backdet.nutl import format_nutl, nutl_eval_lasso, parse_nutl
+from backdet.validation import exhaustive_lassos_total, random_nba
 
 AB = Alphabet(("a", "b"))
 
@@ -48,6 +49,9 @@ def test_nba_validation():
         NBA(AB, ["q"], ["q"], [("q", "z", "q")], [])
     with pytest.raises(ValueError):
         NBA(AB, ["q"], ["nope"], [], [])
+    # a repeated name would give the pipeline one tuple component per copy
+    with pytest.raises(ValueError, match="duplicate state ids"):
+        NBA(AB, ["q", "q"], ["q"], [("q", "a", "q")], ["q"])
 
 
 def test_accepts_lasso_oracle():
@@ -57,6 +61,33 @@ def test_accepts_lasso_oracle():
     assert nba_accepts_lasso(nba, LassoWord((), ("b",)), "q1")
     assert not nba_accepts_lasso(nba, LassoWord((), ("a",)), "q1")
     assert any(nba_accepts_lasso(nba, LassoWord(("a", "a"), ("b",)), q) for q in nba.initial)
+
+
+def test_nba_accepts_lasso_rejects_unknown_position_and_state():
+    nba = two_state_nba()
+    w = LassoWord((), ("a",))
+    with pytest.raises(ValueError, match="position 1 outside quotient range"):
+        nba_accepts_lasso(nba, w, "q0", 1)
+    with pytest.raises(ValueError, match="unknown state 'nope'"):
+        nba_accepts_lasso(nba, w, "nope")
+
+
+def test_accept_table_is_the_rank_inf_vertices_and_the_per_state_oracle():
+    # one search answers every state at every position; it must agree with
+    # the peeling residue and with the per-vertex call
+    rng = random.Random(3)
+    lassos = list(exhaustive_lassos_total(AB, 4))
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            nba = random_nba(rng, AB, n)
+            for w in lassos:
+                table = nba_accept_table(nba, w)
+                ranks = peel_ranks(nba, w).ranks
+                assert len(table) == w.positions
+                for i, accepted in enumerate(table):
+                    assert accepted == {q for q in nba.states if ranks[(i, q)] == INF}, (str(w), i)
+                    for q in nba.states:
+                        assert nba_accepts_lasso(nba, w, q, i) == (q in accepted), (str(w), i, q)
 
 
 def test_peel_ranks_loop():
@@ -75,8 +106,6 @@ def test_peel_ranks_bounded():
         dag = peel_ranks(nba, w)
         for v, r in dag.ranks.items():
             assert r == INF or r < 2 * n
-        for v in dag.b_recurring:
-            assert dag.ranks[v] == INF
 
 
 def test_rank_matches_acceptance():
@@ -93,10 +122,10 @@ def test_rank_formula_levels():
     assert len(table.chi) == 2  # 2n blocks for n=1
     w = LassoWord((), ("b",))
     dag = peel_ranks(nba, w)
+    truth = nutl_eval_lasso([level[0] for level in table.chi], w)
     for i in range(2):
-        got = nutl_truth_set(table.chi[i][0], w)
-        expect = frozenset(k for k in range(w.positions) if dag.ranks[(k, "q0")] <= i)
-        assert got == expect
+        got = {k for k, s in enumerate(truth) if i in s}
+        assert got == {k for k in range(w.positions) if dag.ranks[(k, "q0")] <= i}
 
 
 def test_final_tuple_is_acceptance():
@@ -104,8 +133,7 @@ def test_final_tuple_is_acceptance():
     table = build_rank_formulas(nba)
     for w in (LassoWord((), ("a",)), LassoWord(("a",), ("b",))):
         truth = nutl_eval_lasso(list(table.final_tuple), w)
-        for j, q in enumerate(nba.states):
-            assert (j in truth[0]) == nba_accepts_lasso(nba, w, q)
+        assert tuple({nba.states[j] for j in s} for s in truth) == nba_accept_table(nba, w)
 
 
 def test_rank_formula_disjoint_levels():
@@ -114,9 +142,10 @@ def test_rank_formula_disjoint_levels():
     nba = two_state_nba()
     table = build_rank_formulas(nba)
     w = LassoWord((), ("a", "b"))
-    prev = frozenset()
+    truth = nutl_eval_lasso([level[0] for level in table.chi], w)
+    prev = set()
     for i in range(len(table.chi)):
-        cur = nutl_truth_set(table.chi[i][0], w)
+        cur = {k for k, s in enumerate(truth) if i in s}
         assert prev <= cur
         prev = cur
 
@@ -161,10 +190,7 @@ def test_pipeline_language():
         LassoWord(("a",), ("b",)),
         LassoWord(("b", "a"), ("b",)),
     ):
-        run = bda_final_run(res.bda, w)
-        got = res.accepting_states(run, 0)
-        expect = {q for q in nba.states if nba_accepts_lasso(nba, w, q)}
-        assert got == expect, str(w)
+        assert res.outputs(bda_final_run(res.bda, w)) == nba_accept_table(nba, w), str(w)
 
 
 def test_rank_table_is_a_dag_linear_in_levels():

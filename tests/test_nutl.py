@@ -21,7 +21,6 @@ from backdet.nutl import (
     nutl_eval_lasso,
     nutl_to_waa,
     nutl_to_waa_optimized,
-    nutl_truth_set,
     parse_nutl,
 )
 from backdet.node import subterms
@@ -191,11 +190,11 @@ def test_open_formulas_are_rejected_with_their_free_names():
 
 def test_eval_until_and_always():
     until = parse_nutl(UNTIL, AB)
-    assert nutl_truth_set(until, LassoWord(("a", "a"), ("b",))) == {0, 1, 2}
-    assert nutl_truth_set(until, LassoWord((), ("a",))) == set()
+    assert nutl_eval_lasso([until], LassoWord(("a", "a"), ("b",))) == [{0}, {0}, {0}]
+    assert nutl_eval_lasso([until], LassoWord((), ("a",))) == [set()]
     always = parse_nutl(ALWAYS, AB)
-    assert nutl_truth_set(always, LassoWord((), ("a",))) == {0}
-    assert nutl_truth_set(always, LassoWord(("a",), ("b",))) == set()
+    assert nutl_eval_lasso([always], LassoWord((), ("a",))) == [{0}]
+    assert nutl_eval_lasso([always], LassoWord(("a",), ("b",))) == [set(), set()]
 
 
 def test_eval_vector_components():
@@ -212,9 +211,9 @@ def test_dual_is_complement_and_involution():
         dual = dual_nutl(phi)
         assert dual_nutl(dual) == phi
         for w in (LassoWord((), ("a",)), LassoWord(("b",), ("a", "b"))):
-            t = nutl_truth_set(phi, w)
-            td = nutl_truth_set(dual, w)
-            assert td == frozenset(range(w.positions)) - t
+            # exactly one of phi (component 0) and its dual holds everywhere
+            truth = nutl_eval_lasso([phi, dual], w)
+            assert all((0 in s) != (1 in s) for s in truth)
 
 
 @pytest.mark.parametrize("texts", [
@@ -244,9 +243,9 @@ def test_optimized_translation_one_state_per_variable():
     assert set(waa.states) == {"X", "Y"}
     assert inits == ["X"]
     w = LassoWord((), ("b", "a"))
-    truth = nutl_truth_set(phi, w)
+    truth = nutl_eval_lasso([phi], w)
     for i, accepted in enumerate(waa_accept_table(waa, w)):
-        assert ("X" in accepted) == (i in truth)
+        assert ("X" in accepted) == (0 in truth[i])
 
 
 def test_optimized_translation_inapplicable():

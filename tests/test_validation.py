@@ -1,6 +1,7 @@
 from backdet import lasso, validation
 from backdet.automata import Alphabet, is_weak
 from backdet.lasso import LassoWord
+from backdet.nba import nba_accept_table
 from backdet.validation import (
     check_dual,
     check_ltl,
@@ -75,6 +76,31 @@ def test_ltl_sweep_reports_oracle_mismatches_with_their_formula(monkeypatch):
     for f in r.failures:
         assert f["reason"] == "output differs from automaton oracle"
         assert f["formula"] and f["oracle"] == [] and f["bda"]
+
+
+def test_nba_sweep_names_each_position_the_buchi_oracle_misses(monkeypatch):
+    # an oracle that accepts nowhere differs from the rank formulas and the
+    # pipeline at each position where some state accepts, not only at 0
+    drawn = []
+
+    def draw(*args):
+        drawn.append(random_nba(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(validation, "random_nba", draw)
+    monkeypatch.setattr(validation, "nba_accept_table", lambda _, w: (frozenset(),) * w.positions)
+    r = check_nba(seed=13, count=1, total_max=3)
+    (drawn_nba,) = drawn
+    tables = {str(w): nba_accept_table(drawn_nba, w) for w in exhaustive_lassos_total(AB, 3)}
+    accepting = {(w, i, q) for w, t in tables.items() for i, s in enumerate(t) for q in s}
+    assert any(i > 0 for _, i, _ in accepting)
+    by_reason = {}
+    for f in r.failures:
+        by_reason.setdefault(f["reason"], set()).add((f["word"], f["position"], f.get("state")))
+    assert by_reason == {
+        "negated top-level formula disagrees with acceptance": accepting,
+        "pipeline language differs": {(w, i, None) for w, i, _ in accepting},
+    }
 
 
 def test_small_sweeps_pass():
