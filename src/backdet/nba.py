@@ -50,9 +50,14 @@ class NBA:
         for name, group in (("initial", self.initial), ("buchi", self.buchi)):
             if not group <= declared:
                 raise ValueError(f"{name} set contains undeclared states")
+        # derived, not a field: equality and hashing read the fields only
+        succ = {}
+        for q, a, q2 in sorted(self.transitions):
+            succ[q, a] = succ.get((q, a), ()) + (q2,)
+        object.__setattr__(self, "_succ", succ)
 
-    def successors(self, q: str, a: str) -> list[str]:
-        return sorted(q2 for (p, b, q2) in self.transitions if p == q and b == a)
+    def successors(self, q: str, a: str) -> tuple[str, ...]:
+        return self._succ.get((q, a), ())
 
 
 def _quotient_graph(nba: NBA, w: LassoWord):
