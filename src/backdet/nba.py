@@ -53,11 +53,11 @@ class NBA:
         # derived, not a field: equality and hashing read the fields only
         succ = {}
         for q, a, q2 in sorted(self.transitions):
-            succ[q, a] = succ.get((q, a), ()) + (q2,)
+            succ.setdefault((q, a), []).append(q2)
         object.__setattr__(self, "_succ", succ)
 
-    def successors(self, q: str, a: str) -> tuple[str, ...]:
-        return self._succ.get((q, a), ())
+    def successors(self, q: str, a: str) -> list[str]:
+        return list(self._succ.get((q, a), ()))
 
 
 def _quotient_graph(nba: NBA, w: LassoWord):

@@ -32,10 +32,9 @@ cycles through variables of both a least and a greatest fixed point.
 :func:`nutl_eval_lasso` is the Kleene semantics on a lasso: a formula
 denotes a position mask of the lasso quotient (:class:`LassoWord`).  Each
 closed subformula, and each closed system that fix nodes share, is solved
-once per word and kept until a call on another word, as in the
-alternation-free model checking of Emerson and Lei (LICS 1986).  Whether a
-subformula is closed is read from the node, which holds its free variables
-(``free``).
+once per call, as in the alternation-free model checking of Emerson and Lei
+(LICS 1986).  Whether a subformula is closed is read from the node, which
+holds its free variables (``free``).
 """
 
 from __future__ import annotations
@@ -447,31 +446,20 @@ def dual_nutl(f: Node) -> Node:
     return dual(f)
 
 
-# the last word evaluated, its closed nodes' masks and closed systems' vectors
-_last = (None, {}, {})
-
-
 def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
     """Per-position truth sets: position i maps to the set of component
     indices whose formula holds on the suffix from i.
 
     Kleene iteration over position masks (bit i for position i): a fix
     node iterates its body vector from no position (mu) or every position
-    (nu).  Each closed subformula is evaluated once, and each closed system
-    (fix nodes alike but for ``index``) is solved once, for all its
-    components.  Both are kept for the next call on an equal word and
-    dropped at a call on another, so one word's solutions at most are
-    held.  The memo is not locked: threads alternating between words may
-    drop each other's solutions, which costs time, not correctness.
+    (nu).  Each closed subformula is evaluated once per call, and each
+    closed system (fix nodes alike but for ``index``) is solved once per
+    call, for all its components.
     """
-    global _last
     roots = list(phi_tuple)
     _require_closed(roots)
-    slot = _last
-    if slot[0] != w:
-        slot = _last = (w, {}, {})
-    _, closed, systems = slot
     full, pre = w.full, w.pre
+    closed, systems = {}, {}
 
     def ev(f, env):
         got = closed.get(f)

@@ -136,33 +136,28 @@ def test_final_tuple_is_acceptance():
         assert tuple({nba.states[j] for j in s} for s in truth) == nba_accept_table(nba, w)
 
 
-def test_evaluator_memo_agrees_with_one_batched_call_in_any_order():
-    # the evaluator keeps the last word's solved systems across calls; one
-    # component per call, in level order, in reverse and alternating between
-    # two words, must read what one batched call on a fresh word computes
+def test_evaluator_one_formula_per_call_agrees_with_one_batched_call():
+    # a batched call shares the closed systems of all its roots; each chi
+    # and final-tuple component asked alone must read the same positions
     rng = random.Random(3)
     lassos = list(exhaustive_lassos_total(AB, 4))
-    pairs = list(zip(lassos, lassos[1:] + lassos[:1]))
     for n in (1, 2, 3):
         for _ in range(3):
             table = build_rank_formulas(random_nba(rng, AB, n))
             roots = [f for level in table.chi for f in level] + list(table.final_tuple)
-            # consecutive words differ, so each batched call starts afresh
-            batched = {w: nutl_eval_lasso(roots, w) for w in lassos}
-
-            def check(j, w):
-                got = [0 in s for s in nutl_eval_lasso([roots[j]], w)]
-                assert got == [j in s for s in batched[w]], (n, j, str(w))
-
             for w in lassos:
-                for j in range(len(roots)):
-                    check(j, w)
-                for j in reversed(range(len(roots))):
-                    check(j, w)
-            for w1, w2 in pairs:
-                for j in range(len(roots)):
-                    check(j, w1)
-                    check(j, w2)
+                batched = nutl_eval_lasso(roots, w)
+                for j, f in enumerate(roots):
+                    got = [0 in s for s in nutl_eval_lasso([f], w)]
+                    assert got == [j in s for s in batched], (n, j, str(w))
+
+
+def test_successors_are_a_fresh_sorted_list():
+    nba = NBA(AB, ["q", "p", "r"], ["q"], [("q", "a", "r"), ("q", "a", "p"), ("r", "b", "q")], [])
+    got = nba.successors("q", "a")
+    assert got == ["p", "r"] and nba.successors("p", "a") == []
+    got.append("q")
+    assert nba.successors("q", "a") == ["p", "r"]
 
 
 def test_rank_formula_disjoint_levels():

@@ -1,8 +1,4 @@
-import gc
 import random
-import sys
-import threading
-import weakref
 
 import pytest
 
@@ -211,52 +207,6 @@ def test_eval_inner_fixed_point_reading_the_outer_variable():
         truth = nutl_eval_lasso([phi], w)
         for i, accepted in enumerate(waa_accept_table(waa, w)):
             assert (inits[0] in accepted) == (0 in truth[i]), (str(w), i)
-
-
-def test_eval_memo_keeps_one_word():
-    # the memo holds the solutions of the last word asked about: a formula
-    # evaluated on one word is freed once another word is asked about
-    w1, w2 = LassoWord(("a",), ("b",)), LassoWord((), ("a", "b"))
-    phi = parse_nutl("nu_0 (Kept).(b & O Kept)", AB)
-    ref = weakref.ref(phi)
-    assert nutl_eval_lasso([phi], w1) == [set(), {0}]
-    del phi
-    nutl_eval_lasso([parse_nutl(UNTIL, AB)], w2)
-    gc.collect()
-    assert ref() is None
-    # a word is recognised by its value, not its identity
-    roots = [parse_nutl(text, AB) for text in (UNTIL, ALWAYS, "nu_1 (X,Y).(a & O Y; b | O X)")]
-    twin = LassoWord(list(w2.prefix), list(w2.period))
-    assert twin is not w2 and twin == w2
-    assert nutl_eval_lasso(roots, w2) == nutl_eval_lasso(roots, twin)
-
-
-def test_eval_memo_shared_by_threads_keeps_each_answer():
-    # the memo is not locked: threads that alternate between words replace
-    # each other's slot, which may cost time but must not mix their words
-    roots = [parse_nutl(text, AB) for text in (UNTIL, ALWAYS, "nu_1 (X,Y).(a & O Y; b | O X)")]
-    words = list(exhaustive_lassos(AB, 2, 2))
-    expected = {w: nutl_eval_lasso(roots, w) for w in words}
-    wrong = []
-
-    def work(k):
-        for i in range(3000):
-            w, j = words[(k + i) % len(words)], i % len(roots)
-            if [0 in s for s in nutl_eval_lasso([roots[j]], w)] != [j in s for s in expected[w]]:
-                wrong.append((k, str(w), j))
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
 
 
 def test_eval_vector_components():
