@@ -9,13 +9,15 @@ value.  An SCC's step reads raw values only from its own states; of the
 states below it, it reads only whether they accept (:func:`accepts`).  So
 the step of one SCC, for one letter and one acceptance pattern below it, is
 a row over the SCC's local values; each row is built whole, both stages at
-once for every local value, when it is first asked for.
+once for every local value, when it is first asked for, through the
+lifting table of the SCC's size (:func:`lifting_table`).
 Acceptance is a generalized transition Buchi condition with one set per
 automaton state.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +38,31 @@ def accepts(v: Value, recurring: bool) -> bool:
     """The lambda rule: a recurring state accepts where its value is inf, a
     non-recurring one where its value is finite."""
     return (v == INF) == recurring
+
+
+@functools.cache
+def lifting_table(size: int) -> tuple:
+    """The own value columns and the lifting table of SCCs of ``size`` states.
+
+    Values are ints, inf coded as size+1, so max and min act on codes as on
+    values.  Column j holds state j's value at each local code.  Entry k,
+    one of (size+2)^size, lifts the intermediate values that are k's digits
+    in base size+2 (the first state most significant) around the critical
+    value m, the least natural number missing among them, and holds
+    (successor code, fired bits, m).  (S,i) fires when no chain sits at
+    level i: the lifting bumps every value at level <= i (i <= m) or no
+    finite value reaches level i (i > top; above m the lifting moves nothing).
+    """
+    full, inf = (1 << size) - 1, size + 1
+    own = list(itertools.product(range(1, size + 2), repeat=size))
+    code = dict(zip(own, itertools.count()))
+    lift = []
+    for tilde in itertools.product(range(size + 2), repeat=size):
+        finite = set(tilde) - {inf}
+        m = next(m for m in itertools.count() if m not in finite)
+        top = max(finite, default=0)
+        lift.append((code[tuple([v if v > m else v + 1 for v in tilde])], (1 << m) - 1 | full >> top << top, m))
+    return list(zip(*own)), lift
 
 
 @dataclass(frozen=True)
@@ -126,23 +153,23 @@ class BackwardDetAutomaton:
         bits ``outside`` into ``scc_memo[s]`` (callers look there first):
         entry ``code`` holds (successor code, fired bits, critical value).
 
-        Each state's condition is folded once over value columns, one entry
-        per code.  An own state is its column of the table's values; a
-        letter test or an outside state is the shared column ``inf`` when
-        its truth equals the state's polarity, else ``zero``, which under
-        max and min absorbs the other side or drops out.  Each code's
-        intermediate values, which may hold 0, are then lifted around the
-        critical value m, the least natural number missing among them.
-        A letter outside the alphabet raises ValueError, so the memo keeps
-        its bound.
+        Each state's condition is folded once over the int-coded value
+        columns of :func:`lifting_table`, one entry per code.  An own state
+        is its column; a letter test or an outside state is the shared
+        column ``inf`` when its truth equals the state's polarity, else
+        ``zero``, which under max and min absorbs the other side or drops
+        out.  Each code's intermediate values, as one int, index the lifting
+        table.  A letter outside the alphabet raises ValueError, so the memo
+        keeps its bound.
         """
         waa, pos = self.waa, self.state_pos
         if letter not in waa.alphabet:
             raise ValueError(f"letter {letter!r} not in the alphabet {' '.join(waa.alphabet)}")
-        scc, table = waa.sccs[s], self.scc_table(s)
-        n = len(table.values)
-        inf, zero = [INF] * n, [0] * n
-        own = dict(zip(scc.states, zip(*table.values)))
+        scc = waa.sccs[s]
+        own_columns, lift = lifting_table(scc.size)
+        n = len(own_columns[0])
+        inf, zero = [scc.size + 1] * n, [0] * n
+        own = dict(zip(scc.states, own_columns))
 
         def pointwise(f, absorbing, neutral):
             def combine(a, b):
@@ -164,22 +191,11 @@ class BackwardDetAutomaton:
 
         lub, glb = pointwise(max, inf, zero), pointwise(min, zero, inf)
         disj, conj = (lub, glb) if scc.recurring else (glb, lub)
-        columns = [fold(waa.delta[q], atom, disj, conj) for q in scc.states]
-        full = (1 << scc.size) - 1
-        row = []
-        for tilde in zip(*columns):
-            finite = set(tilde)
-            finite.discard(INF)
-            m = 0
-            while m in finite:
-                m += 1
-            lifted = tilde if m == 0 else tuple([v if v > m else v + 1 for v in tilde])
-            # (S,i) fires when the lifting bumps every value at level <= i
-            # (i <= m) or no finite value reaches level i (i > top; above m
-            # the lifting moves nothing); either way no chain sits at level i
-            top = max(finite, default=0)
-            row.append((table.code[lifted], (1 << m) - 1 | full >> top << top, m))
-        self.scc_memo[s][(letter, outside)] = row
+        keys, *rest = [fold(waa.delta[q], atom, disj, conj) for q in scc.states]
+        base = scc.size + 2
+        for column in rest:
+            keys = [k * base + v for k, v in zip(keys, column)]
+        row = self.scc_memo[s][(letter, outside)] = list(map(lift.__getitem__, keys))
         return row
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:

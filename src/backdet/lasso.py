@@ -174,19 +174,19 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     """Compute the unique final run on a lasso, SCC by SCC.
 
     An SCC's next values read only its own values and whether the states of
-    lower SCCs accept, so the SCCs are settled successors first, each by an
-    exhaustive search of its own (m+1)^m values.  For SCC s, h composes the
-    per-SCC step over one period, reading the settled lower SCCs'
-    acceptance, and maps s's value code at a period boundary to its code one
-    period earlier.  An infinite backward run pins the boundary values to an
-    infinite chain of h-preimages, which on a finite function graph only
-    exists along cycles of h, so enumerating the h-cycles finds every
-    candidate (:func:`_final_candidates`).  A cycle of length k yields k
-    candidates (one per rotation); a candidate is final iff every Buchi
-    index of s in ``bda.buchi_indices`` fires within the cycle.  Exactly one
-    candidate per SCC may pass: none raises :class:`NoFinalRunError`, more
-    than one :class:`MultipleFinalRunsError`, both naming the word and the
-    SCC.
+    lower SCCs accept, so the SCCs are settled successors first, each by a
+    search of its own values.  For SCC s, h composes the per-SCC step over
+    one period, reading the settled lower SCCs' acceptance, and maps s's
+    value code at a period boundary to its code one period earlier.  An
+    infinite backward run pins the boundary values to an infinite chain of
+    h-preimages, which on a finite function graph only exists along cycles
+    of h; they lie in the image of h, inside the image of the row h applies
+    last, so the search starts from that image (:func:`_final_candidates`).
+    A cycle of length k yields k candidates (one per rotation); a candidate
+    is final iff every Buchi index of s in ``bda.buchi_indices`` fires
+    within the cycle.  Exactly one candidate per SCC may pass: none raises
+    :class:`NoFinalRunError`, more than one :class:`MultipleFinalRunsError`
+    (its candidates in local-code order), both naming the word and the SCC.
 
     The run keeps the families and one acceptance mask per position
     (``BackwardRun.accepting``, which gives its outputs), so SCC s fetches
@@ -194,8 +194,8 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     whole, all (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and
     kept.  ``BackwardRun.record`` rebuilds fired sets and critical values.
     A period is then |v| list indexings, and the search a sum over SCCs of
-    (m+1)^m * |v| indexings, not a product; :func:`count_final_candidates`
-    is the product-space reference.
+    at most (m+1)^m * |v| indexings, not a product;
+    :func:`count_final_candidates` is the product-space reference.
     """
     waa = bda.waa
     n, loop = w.positions, w.loop_start
@@ -223,7 +223,7 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
                 got |= bits
             return code, got
 
-        finals, _, cycles = _final_candidates(range(len(table.values)), period, need[s])
+        finals, _, cycles = _final_candidates(sorted({e[0] for e in steps[loop]}), period, need[s])
         if not finals:
             raise NoFinalRunError(
                 f"no final run on {w}: SCC {s} has no final candidate "
@@ -231,7 +231,7 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
                 word=w, scc=s,
             )
         if len(finals) > 1:
-            candidates = tuple(table.values[code] for code in finals)
+            candidates = tuple(table.values[code] for code in sorted(finals))
             detail = ", ".join(
                 " ".join(f"{q}={'inf' if v == INF else v}" for q, v in zip(scc.states, own))
                 for own in candidates

@@ -10,6 +10,7 @@ import pytest
 
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton, is_very_weak
 from backdet.construction import INF, BackwardDetAutomaton, basic_step
+from backdet.formats import parse_lasso
 from backdet.lasso import (
     LassoWord,
     bda_final_run,
@@ -260,6 +261,22 @@ def test_nba_pipeline_at_four_states():
             assert res.outputs(bda_final_run(res.bda, w)) == nba_accept_table(nba, w), str(w)
     assert largest == 4 and len(lassos) == 34
 
+
+def test_nba_pipeline_at_five_states():
+    # criterion 7 at n = 5, where an SCC of 5 states has 6^5 = 7776 local
+    # values: language equality on a few lassos and the predicted SCC
+    # partition, on one NBA sparse enough that the answers vary
+    nba = random_nba(random.Random(11), AB, 5, 0.3)
+    res = nba_to_bda(nba)
+    assert {frozenset(scc.states) for scc in res.waa.sccs} == predicted_rank_sccs(nba)
+    assert max(scc.size for scc in res.waa.sccs) == 5
+    answers = set()
+    for text in ("; a", "a ; b", "; a b", "b a ; a b b", "; b", "a b ; b a"):
+        w = parse_lasso(text)
+        expect = nba_accept_table(nba, w)
+        assert res.outputs(bda_final_run(res.bda, w)) == expect, text
+        answers.update(expect)
+    assert len(answers) > 3
 
 def test_criterion_8_quotient_soundness():
     rng = random.Random(41)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from backdet.automata import Alphabet, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
-from backdet.construction import INF, BackwardDetAutomaton, basic_step
+from backdet.construction import INF, BackwardDetAutomaton, basic_step, lifting_table
 from backdet.errors import StateSpaceCapError
 from backdet.lasso import LassoWord, bda_final_run
 from backdet.validation import random_waa
@@ -81,13 +81,44 @@ def _reference_entry(bda, s, letter, outside, own):
 
     disj, conj = (max, min) if scc.recurring else (min, max)
     tilde = [fold(waa.delta[q], atom, disj, conj) for q in scc.states]
+    lifted, fired, m = _reference_lift(tilde, scc.size)
+    return bda.scc_table(s).code[lifted], fired, m
+
+
+def _reference_lift(tilde, size):
+    # the lifting of intermediate values around the least missing natural
+    # m, and (S,i) fired when i <= m or no finite lifted value is >= i
     m = 0
     while m in tilde:
         m += 1
     lifted = tuple(v if v > m else v + 1 for v in tilde)
-    fired = sum(1 << (i - 1) for i in range(1, scc.size + 1)
+    fired = sum(1 << (i - 1) for i in range(1, size + 1)
                 if i <= m or not any(v != INF and v >= i for v in lifted))
-    return bda.scc_table(s).code[lifted], fired, m
+    return lifted, fired, m
+
+
+def test_lifting_table_matches_the_definition():
+    # every entry of the lifting table of each SCC size up to 4 (3, 16, 125
+    # and 1296 entries): key k holds the intermediate values as digits in
+    # base size+2 (0, the own values, and inf as size+1), first state most
+    # significant, and its entry is the local code of the lifted values,
+    # the fired bits and the critical value; column j holds state j's
+    # coded value at each local code
+    for size in range(1, 5):
+        columns, lift = lifting_table(size)
+        assert lifting_table(size) is lifting_table(size)
+        domain = [*range(1, size + 1), INF]
+        values = list(itertools.product(domain, repeat=size))
+        states = [f"q{j}" for j in range(size)]
+        ring = {q: NextState(states[j - 1]) for j, q in enumerate(states)}
+        assert values == BackwardDetAutomaton(WeakAlternatingAutomaton(AB, states, ring, [])).scc_table(0).values
+        code = dict(zip(values, range(len(values))))
+        assert len(lift) == (size + 2) ** size
+        for key, tilde in enumerate(itertools.product([0, *domain], repeat=size)):
+            lifted, fired, m = _reference_lift(tilde, size)
+            assert lift[key] == (code[lifted], fired, m), (size, tilde)
+        coded = {**{v: v for v in range(1, size + 1)}, INF: size + 1}
+        assert columns == [tuple(coded[v] for v in column) for column in zip(*values)]
 
 
 def test_step_rows_match_the_definition():

@@ -7,7 +7,7 @@ from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAltern
 from backdet.construction import INF, BackwardDetAutomaton
 from backdet.dot import period_graph_to_dot
 from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
-from backdet.formats import format_bda
+from backdet.formats import format_bda, parse_waa
 from backdet.lasso import (
     DEFAULT_ENUMERATION_CAP,
     LassoWord,
@@ -192,6 +192,30 @@ def test_multiple_final_runs_error_names_word_and_scc():
     assert str(err.value) == f"2 final runs on {w} in SCC {s}: q_G_F_a=1, q_G_F_a=inf"
     assert count_final_candidates(bda, w) == 2
 
+
+def test_multiple_final_runs_are_listed_in_code_order():
+    # one non-recurring SCC of 4 states without its Buchi indices: on a^omega
+    # q0 and q2 repeat one value and q1 and q3 another, so 25 constant runs
+    # are final, listed in local-code order whatever order the search meets
+    # them in
+    waa = parse_waa(
+        "alphabet: a b\nstates: q0 q1 q2 q3\nrecurring:\n"
+        "delta q0 = (X q0 | [a b]) & (X q3 | X q1)\n"
+        "delta q1 = ([a b] | [b]) & X q2\n"
+        "delta q2 = (X q0 | [a b]) & (X q1 & X q1)\n"
+        "delta q3 = X q2 | [b] & [a b]\n"
+    )
+    bda = BackwardDetAutomaton(waa)
+    assert [scc.size for scc in waa.sccs] == [4]
+    bda.buchi_indices = ()
+    w = LassoWord((), ("a",))
+    with pytest.raises(MultipleFinalRunsError) as err:
+        bda_final_run(bda, w)
+    domain = (1, 2, 3, 4, INF)
+    assert err.value.candidates == tuple((x, y, x, y) for x in domain for y in domain)
+    assert str(err.value).startswith(
+        f"25 final runs on {w} in SCC 0: q0=1 q1=1 q2=1 q3=1, q0=1 q1=2 q2=1 q3=2, q0=1 q1=3 q2=1 q3=3,")
+    assert count_final_candidates(bda, w) == 25
 
 def test_cross_validate_mismatch_reporting():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
