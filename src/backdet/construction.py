@@ -84,12 +84,33 @@ class TransitionRecord:
 class SccTable(NamedTuple):
     """One SCC's value tuples over {1, ..., m, inf}, numbered by code in
     mixed radix (``itertools.product`` order); its states' indices in the
-    family; and each tuple's mask of accepting states."""
+    family; each tuple's mask of accepting states; and what every row of
+    :meth:`BackwardDetAutomaton.scc_row` folds with, made once per SCC: its
+    states' int-coded columns (:func:`lifting_table`), the columns of a true
+    and a false atom for its polarity (``inf`` and ``zero`` for a recurring
+    SCC, swapped otherwise), its Or and And combines, and its conditions."""
 
     positions: tuple
     values: list
     code: dict
     accepting: list
+    own: dict
+    yes: list
+    no: list
+    disj: object
+    conj: object
+    conditions: list
+
+
+def _pointwise(f, absorbing, neutral):
+    """``f`` entry by entry; an ``absorbing`` column decides, a ``neutral`` one drops out."""
+    def combine(a, b):
+        if a is absorbing or b is neutral:
+            return a
+        if b is absorbing or a is neutral:
+            return b
+        return list(map(f, a, b))
+    return combine
 
 
 class BackwardDetAutomaton:
@@ -145,7 +166,12 @@ class BackwardDetAutomaton:
             # each tuple's acceptance mask sums the bits of its states' values
             bits = [[1 << p if accepts(v, scc.recurring) else 0 for v in domain] for p in positions]
             accepting = list(map(sum, itertools.product(*bits)))
-            table = self.scc_tables[s] = SccTable(positions, values, code, accepting)
+            inf, zero = [scc.size + 1] * len(values), [0] * len(values)
+            lub, glb = _pointwise(max, inf, zero), _pointwise(min, zero, inf)
+            table = self.scc_tables[s] = SccTable(
+                positions, values, code, accepting, dict(zip(scc.states, lifting_table(scc.size)[0])),
+                *((inf, zero, lub, glb) if scc.recurring else (zero, inf, glb, lub)),
+                [self.waa.delta[q] for q in scc.states])
         return table
 
     def scc_row(self, s: int, letter: str, outside: int) -> list:
@@ -153,10 +179,11 @@ class BackwardDetAutomaton:
         bits ``outside`` into ``scc_memo[s]`` (callers look there first):
         entry ``code`` holds (successor code, fired bits, critical value).
 
-        Each state's condition is folded once over the int-coded value
-        columns of :func:`lifting_table`, one entry per code.  An own state
-        is its column; a letter test or an outside state is the shared
-        column ``inf`` when its truth equals the state's polarity, else
+        Each state's condition is folded once over the SCC's int-coded value
+        columns (:class:`SccTable`, which holds all that does not depend on
+        the key), one entry per code.  An own state is its column; a letter
+        test or an outside state is the shared column ``yes`` when it holds,
+        else ``no``: ``inf`` when its truth equals the state's polarity, else
         ``zero``, which under max and min absorbs the other side or drops
         out.  Each code's intermediate values, as one int, index the lifting
         table.  A letter outside the alphabet raises ValueError, so the memo
@@ -165,37 +192,20 @@ class BackwardDetAutomaton:
         waa, pos = self.waa, self.state_pos
         if letter not in waa.alphabet:
             raise ValueError(f"letter {letter!r} not in the alphabet {' '.join(waa.alphabet)}")
-        scc = waa.sccs[s]
-        own_columns, lift = lifting_table(scc.size)
-        n = len(own_columns[0])
-        inf, zero = [scc.size + 1] * n, [0] * n
-        own = dict(zip(scc.states, own_columns))
-
-        def pointwise(f, absorbing, neutral):
-            def combine(a, b):
-                if a is absorbing or b is neutral:
-                    return a
-                if b is absorbing or a is neutral:
-                    return b
-                return list(map(f, a, b))
-            return combine
+        table = self.scc_tables[s] or self.scc_table(s)
+        own, yes, no, size = table.own, table.yes, table.no, len(table.positions)
 
         def atom(c):
             if isinstance(c, LetterSet):
-                holds = letter in c.letters
-            elif c.state in own:
+                return yes if letter in c.letters else no
+            if c.state in own:
                 return own[c.state]
-            else:
-                holds = bool(outside >> pos[c.state] & 1)
-            return inf if holds == scc.recurring else zero
+            return yes if outside >> pos[c.state] & 1 else no
 
-        lub, glb = pointwise(max, inf, zero), pointwise(min, zero, inf)
-        disj, conj = (lub, glb) if scc.recurring else (glb, lub)
-        keys, *rest = [fold(waa.delta[q], atom, disj, conj) for q in scc.states]
-        base = scc.size + 2
+        keys, *rest = [fold(c, atom, table.disj, table.conj) for c in table.conditions]
         for column in rest:
-            keys = [k * base + v for k, v in zip(keys, column)]
-        row = self.scc_memo[s][(letter, outside)] = list(map(lift.__getitem__, keys))
+            keys = [k * (size + 2) + v for k, v in zip(keys, column)]
+        row = self.scc_memo[s][(letter, outside)] = list(map(lifting_table(size)[1].__getitem__, keys))
         return row
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:

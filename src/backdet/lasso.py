@@ -132,7 +132,8 @@ def waa_accepts_lasso(waa: WeakAlternatingAutomaton, q: str, w: LassoWord, i: in
 class BackwardRun:
     """The unique final run of a backward deterministic automaton on a lasso.
 
-    ``families[i]`` is the automaton state at quotient position i, and
+    ``families[i]`` is the automaton state at quotient position i,
+    assembled once from each SCC's column of value tuples, and
     ``accepting[i]`` its lambda as a state mask (bit ``bda.state_pos[q]``).
     :meth:`record` rebuilds the transition into position i by ``bda.step``.
     """
@@ -160,8 +161,14 @@ def _final_candidates(starts, period, need):
     as a set or as a bit mask like ``need``.  Returns the starts on the
     h-cycles that fire every index in ``need`` (each rotation of a final
     cycle is a distinct candidate run), the image of every start, and the
-    h-cycles.
+    h-cycles.  Every image lies among the starts, so a single start is its
+    own image and h's only cycle: it is final iff one period from it fires
+    every index in ``need``, and no cycle search runs.
     """
+    if len(starts) == 1:
+        (start,) = starts
+        image, fired = period(start)
+        return [start] if need & fired == need else [], {start: image}, [[start]]
     image, fired = {}, {}
     for start in starts:
         image[start], fired[start] = period(start)
@@ -181,48 +188,51 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     infinite backward run pins the boundary values to an infinite chain of
     h-preimages, which on a finite function graph only exists along cycles
     of h; they lie in the image of h, inside the image of the row h applies
-    last, so the search starts from that image (:func:`_final_candidates`).
+    last, so the search starts from that image (:func:`_final_candidates`);
+    an image of one code is h's only cycle and needs no search.
     A cycle of length k yields k candidates (one per rotation); a candidate
     is final iff every Buchi index of s in ``bda.buchi_indices`` fires
     within the cycle.  Exactly one candidate per SCC may pass: none raises
     :class:`NoFinalRunError`, more than one :class:`MultipleFinalRunsError`
     (its candidates in local-code order), both naming the word and the SCC.
 
-    The run keeps the families and one acceptance mask per position
-    (``BackwardRun.accepting``, which gives its outputs), so SCC s fetches
-    its n step rows once from ``bda.scc_memo[s]``; a missing row is built
-    whole, all (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and
-    kept.  ``BackwardRun.record`` rebuilds fired sets and critical values.
-    A period is then |v| list indexings, and the search a sum over SCCs of
-    at most (m+1)^m * |v| indexings, not a product;
+    SCC s fetches its n step rows once from ``bda.scc_memo[s]`` (one per
+    letter if it reads no outside state); a missing row is built whole, all
+    (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and kept.  Its
+    settle pass adds to one acceptance mask per position
+    (``BackwardRun.accepting``) and records its value tuples in one column;
+    the families are assembled once, at the end, from the columns.
+    ``BackwardRun.record`` rebuilds fired sets and critical values.  A period
+    is then |v| list indexings, and the search a sum over SCCs of at most
+    (m+1)^m * |v| indexings, not a product;
     :func:`count_final_candidates` is the product-space reference.
     """
     waa = bda.waa
     n, loop = w.positions, w.loop_start
     letters = [w.letter(i) for i in range(n)]
     succ = [w.succ(i) for i in range(n)]
-    families = [[None] * len(waa.states) for _ in range(n)]
+    by_state = [None] * len(waa.states)  # each state's value at each position
     accepting = [0] * n  # the settled states that accept at each position
     need = [0] * len(waa.sccs)
     for s, i in bda.buchi_indices:
         need[s] |= 1 << (i - 1)
+
+    def period(code):  # one period of the current SCC's rows, period_steps
+        got = 0
+        for row in period_steps:
+            code, bits, _ = row[code]
+            got |= bits
+        return code, got
+
     for s, scc in enumerate(waa.sccs):
-        table = bda.scc_table(s)
+        table, memo, mask = bda.scc_tables[s] or bda.scc_table(s), bda.scc_memo[s], bda.outside_mask[s]
         # the row of the step into each position
-        memo, mask = bda.scc_memo[s], bda.outside_mask[s]
-        steps = []
-        for letter, j in zip(letters, succ):
-            key = (letter, accepting[j] & mask)
-            steps.append(memo.get(key) or bda.scc_row(s, *key))
+        if mask:
+            steps = [memo.get(k) or bda.scc_row(s, *k) for k in zip(letters, [accepting[j] & mask for j in succ])]
+        else:
+            rows = {a: memo.get((a, 0)) or bda.scc_row(s, a, 0) for a in set(letters)}
+            steps = [rows[a] for a in letters]
         period_steps = steps[loop:][::-1]
-
-        def period(code):
-            got = 0
-            for row in period_steps:
-                code, bits, _ = row[code]
-                got |= bits
-            return code, got
-
         finals, _, cycles = _final_candidates(sorted({e[0] for e in steps[loop]}), period, need[s])
         if not finals:
             raise NoFinalRunError(
@@ -240,14 +250,14 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
                 f"{len(finals)} final runs on {w} in SCC {s}: {detail}",
                 len(finals), word=w, scc=s, candidates=candidates,
             )
-        code = finals[0]
+        code, column, values, own_accepting = finals[0], [None] * n, table.values, table.accepting
         for i in range(n - 1, -1, -1):
             code = steps[i][code][0]
-            accepting[i] |= table.accepting[code]
-            family = families[i]
-            for p, v in zip(table.positions, table.values[code]):
-                family[p] = v
-    return BackwardRun(w, tuple(map(tuple, families)), tuple(accepting))
+            accepting[i] |= own_accepting[code]
+            column[i] = values[code]
+        for p, state_column in zip(table.positions, zip(*column)):
+            by_state[p] = state_column
+    return BackwardRun(w, tuple(zip(*by_state)) or ((),) * n, tuple(accepting))
 
 
 def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:

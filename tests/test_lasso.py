@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from backdet.lasso import (
     DEFAULT_ENUMERATION_CAP,
     LassoWord,
     _final_boundaries,
+    _final_candidates,
     bda_final_run,
     count_final_candidates,
     cross_validate,
@@ -217,6 +220,21 @@ def test_multiple_final_runs_are_listed_in_code_order():
         f"25 final runs on {w} in SCC 0: q0=1 q1=1 q2=1 q3=1, q0=1 q1=2 q2=1 q3=2, q0=1 q1=3 q2=1 q3=3,")
     assert count_final_candidates(bda, w) == 25
 
+
+def test_final_candidates_answer_a_single_start_directly():
+    # every image of h lies among the starts, so a single start is its own
+    # image and h's only cycle: it is final iff one period from it fires
+    # every needed index; fired values come as int masks (the SCC-by-SCC
+    # run) or as sets of Buchi indices (the product-space reference)
+    masks = (0b101, 0b111, 0b011)
+    sets = (frozenset({(0, 1), (1, 1)}), frozenset({(0, 1), (0, 2), (1, 1)}), frozenset({(0, 1), (0, 2)}))
+    for need, fires, misses in (masks, sets):
+        for fired, finals in ((fires, ["x"]), (misses, [])):
+            got = _final_candidates(["x"], lambda start: (start, fired), need)
+            assert got == (finals, {"x": "x"}, [["x"]]), (need, fired)
+        assert _final_candidates(["x"], lambda start: (start, misses), type(need)())[0] == ["x"]
+
+
 def test_cross_validate_mismatch_reporting():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
     w = LassoWord((), ("a", "b"))
@@ -384,3 +402,60 @@ def test_final_runs_above_the_cap_of_five_state_sccs_match_the_oracle():
             assert_outputs_and_fired(bda, run)
             report = cross_validate(waa, w, bda, run)
             assert report.ok, report.failures
+
+
+@st.composite
+def interleaved_large_scc_automata(draw):
+    """A weak automaton with one SCC of 4 or 5 states among SCCs of 1 or 2
+    states, its product space above the cap, and one to three lassos.  The
+    SCCs are listed lower first, each reads its own and lower SCCs' states
+    and the letters; a ring through each SCC's states keeps it one SCC.  The
+    large SCC's states take every other place in the sorted state order, so
+    they interleave with the states of the others."""
+    big = draw(st.integers(4, 5))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=big, max_size=big + 2))
+    while (big + 1) ** big * math.prod((m + 1) ** m for m in sizes) <= DEFAULT_ENUMERATION_CAP:
+        sizes.append(1)
+    at = draw(st.integers(0, len(sizes)))
+    sizes.insert(at, big)
+    first = draw(st.integers(0, 1))
+    wide = range(first, first + 2 * big, 2)
+    rest = iter(sorted(set(range(sum(sizes))) - set(wide)))
+    sccs = [[f"q{i:02d}" for i in (wide if t == at else itertools.islice(rest, m))] for t, m in enumerate(sizes)]
+    delta, recurring, lower = {}, [], []
+    for states in sccs:
+        atoms = [NextState(q) for q in states + lower] + [LetterSet({"a"}), LetterSet({"b"})]
+        for j, q in enumerate(states):
+            ring = [NextState(states[(j + 1) % len(states)])] if len(states) > 1 else []
+            extra = draw(st.lists(st.sampled_from(atoms), min_size=1 - len(ring), max_size=3))
+            cond, *others = draw(st.permutations(ring + extra))
+            for atom in others:
+                cond = draw(st.sampled_from((And, Or)))(cond, atom)
+            delta[q] = cond
+        if draw(st.booleans()):
+            recurring += states
+        lower += states
+    letters = st.sampled_from("ab")
+    words = draw(st.lists(st.builds(LassoWord, st.lists(letters, max_size=2), st.lists(letters, min_size=1, max_size=3)),
+                          min_size=1, max_size=3))
+    return WeakAlternatingAutomaton(AB, lower, delta, recurring), words
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(interleaved_large_scc_automata())
+def test_final_runs_on_interleaved_large_sccs_match_the_oracle(case):
+    # above the cap, on an SCC of 4 or 5 states whose states interleave with
+    # other SCCs' in the family: the run exists, its outputs equal the WAA
+    # oracle, and each family it assembles is the step into its position
+    waa, words = case
+    bda = BackwardDetAutomaton(waa)
+    assert bda.state_space_bound > DEFAULT_ENUMERATION_CAP
+    (large,) = [scc for scc in waa.sccs if scc.size >= 4]
+    places = [waa.states.index(q) for q in large.states]
+    assert places == list(range(places[0], places[0] + 2 * large.size, 2))
+    for w in words:
+        run = bda_final_run(bda, w)
+        for i in range(w.positions):
+            assert run.families[i] == run.record(bda, i).result, (str(w), i)
+        report = cross_validate(waa, w, bda, run)
+        assert report.ok, report.failures
