@@ -57,12 +57,14 @@ class NextState(Node):
 def fold(cond: Node, atom, disj, conj):
     """Bottom-up walk of a condition tree: ``atom`` maps each letter test and
     next-state reference to a value, ``disj`` and ``conj`` combine the values
-    of an Or or And node's two children."""
-    if isinstance(cond, Or):
+    of an Or or And node's two children.  No class subclasses the four node
+    classes, so the dispatch compares types."""
+    t = type(cond)
+    if t is Or:
         return disj(fold(cond.left, atom, disj, conj), fold(cond.right, atom, disj, conj))
-    if isinstance(cond, And):
+    if t is And:
         return conj(fold(cond.left, atom, disj, conj), fold(cond.right, atom, disj, conj))
-    if isinstance(cond, (LetterSet, NextState)):
+    if t is LetterSet or t is NextState:
         return atom(cond)
     raise TypeError(f"not a condition: {cond!r}")
 

@@ -9,8 +9,8 @@ value.  An SCC's step reads raw values only from its own states; of the
 states below it, it reads only whether they accept (:func:`accepts`).  So
 the step of one SCC, for one letter and one acceptance pattern below it, is
 a row over the SCC's local values; each row is built whole, both stages at
-once for every local value, when it is first asked for, through the
-lifting table of the SCC's size (:func:`lifting_table`).
+once for every local value, when it is first asked for, through the one
+table that every SCC of its size shares (:func:`lifting_table`).
 Acceptance is a generalized transition Buchi condition with one set per
 automaton state.
 """
@@ -42,16 +42,20 @@ def accepts(v: Value, recurring: bool) -> bool:
 
 @functools.cache
 def lifting_table(size: int) -> tuple:
-    """The own value columns and the lifting table of SCCs of ``size`` states.
+    """(values, code, own, lift, polar): all that SCCs of ``size`` states share.
 
-    Values are ints, inf coded as size+1, so max and min act on codes as on
-    values.  Column j holds state j's value at each local code.  Entry k,
-    one of (size+2)^size, lifts the intermediate values that are k's digits
-    in base size+2 (the first state most significant) around the critical
-    value m, the least natural number missing among them, and holds
-    (successor code, fired bits, m).  (S,i) fires when no chain sits at
-    level i: the lifting bumps every value at level <= i (i <= m) or no
-    finite value reaches level i (i > top; above m the lifting moves nothing).
+    ``values`` lists the tuples over {1, ..., size, inf} in code order (mixed
+    radix, ``itertools.product`` order), ``code`` numbers them.  In ``own``
+    and ``lift`` values are ints, inf coded as size+1, so max and min act on
+    codes as on values.  Column j of ``own`` holds state j's value at each
+    code.  Entry k of ``lift``, one of (size+2)^size, lifts the intermediate
+    values that are k's digits in base size+2 (the first state most
+    significant) around the critical value m, the least natural number
+    missing among them, and holds (successor code, fired bits, m).  (S,i)
+    fires when no chain sits at level i: the lifting bumps every value at
+    level <= i (i <= m) or no finite value reaches level i (i > top; above m
+    the lifting moves nothing).  ``polar[recurring]`` holds a true and a
+    false atom's columns and the Or and And combines of that polarity.
     """
     full, inf = (1 << size) - 1, size + 1
     own = list(itertools.product(range(1, size + 2), repeat=size))
@@ -62,7 +66,11 @@ def lifting_table(size: int) -> tuple:
         m = next(m for m in itertools.count() if m not in finite)
         top = max(finite, default=0)
         lift.append((code[tuple([v if v > m else v + 1 for v in tilde])], (1 << m) - 1 | full >> top << top, m))
-    return list(zip(*own)), lift
+    values = list(itertools.product([*range(1, inf), INF], repeat=size))
+    high, zero = [inf] * len(own), [0] * len(own)
+    lub, glb = _pointwise(max, high, zero), _pointwise(min, zero, high)
+    polar = {True: (high, zero, lub, glb), False: (zero, high, glb, lub)}
+    return values, dict(zip(values, itertools.count())), list(zip(*own)), lift, polar
 
 
 @dataclass(frozen=True)
@@ -82,13 +90,9 @@ class TransitionRecord:
 
 
 class SccTable(NamedTuple):
-    """One SCC's value tuples over {1, ..., m, inf}, numbered by code in
-    mixed radix (``itertools.product`` order); its states' indices in the
-    family; each tuple's mask of accepting states; and what every row of
-    :meth:`BackwardDetAutomaton.scc_row` folds with, made once per SCC: its
-    states' int-coded columns (:func:`lifting_table`), the columns of a true
-    and a false atom for its polarity (``inf`` and ``zero`` for a recurring
-    SCC, swapped otherwise), its Or and And combines, and its conditions."""
+    """One SCC's states' indices in the family, each value tuple's mask of
+    accepting states, its states' columns by name and its conditions; the
+    other fields are its size's and polarity's, from :func:`lifting_table`."""
 
     positions: tuple
     values: list
@@ -159,19 +163,14 @@ class BackwardDetAutomaton:
         table = self.scc_tables[s]
         if table is None:
             scc = self.waa.sccs[s]
+            values, code, own, _, polar = lifting_table(scc.size)
             positions = tuple([self.state_pos[q] for q in scc.states])
-            domain = [*range(1, scc.size + 1), INF]
-            values = list(itertools.product(domain, repeat=scc.size))
-            code = dict(zip(values, range(len(values))))
             # each tuple's acceptance mask sums the bits of its states' values
+            domain = [*range(1, scc.size + 1), INF]
             bits = [[1 << p if accepts(v, scc.recurring) else 0 for v in domain] for p in positions]
-            accepting = list(map(sum, itertools.product(*bits)))
-            inf, zero = [scc.size + 1] * len(values), [0] * len(values)
-            lub, glb = _pointwise(max, inf, zero), _pointwise(min, zero, inf)
             table = self.scc_tables[s] = SccTable(
-                positions, values, code, accepting, dict(zip(scc.states, lifting_table(scc.size)[0])),
-                *((inf, zero, lub, glb) if scc.recurring else (zero, inf, glb, lub)),
-                [self.waa.delta[q] for q in scc.states])
+                positions, values, code, list(map(sum, itertools.product(*bits))), dict(zip(scc.states, own)),
+                *polar[scc.recurring], [self.waa.delta[q] for q in scc.states])
         return table
 
     def scc_row(self, s: int, letter: str, outside: int) -> list:
@@ -205,7 +204,7 @@ class BackwardDetAutomaton:
         keys, *rest = [fold(c, atom, table.disj, table.conj) for c in table.conditions]
         for column in rest:
             keys = [k * (size + 2) + v for k, v in zip(keys, column)]
-        row = self.scc_memo[s][(letter, outside)] = list(map(lifting_table(size)[1].__getitem__, keys))
+        row = self.scc_memo[s][(letter, outside)] = list(map(lifting_table(size)[3].__getitem__, keys))
         return row
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:

@@ -150,7 +150,8 @@ class BackwardRun:
         return frozenset(q for q, p in bda.state_pos.items() if mask >> p & 1)
 
     def outputs(self, bda: BackwardDetAutomaton) -> list:
-        return [self.output(bda, i) for i in range(len(self.families))]
+        decoded = {m: frozenset(q for q, p in bda.state_pos.items() if m >> p & 1) for m in set(self.accepting)}
+        return [decoded[m] for m in self.accepting]
 
 
 def _final_candidates(starts, period, need):

@@ -13,8 +13,6 @@ R one step ahead.
 
 from __future__ import annotations
 
-import functools
-
 from .automata import Alphabet, NextState, WeakAlternatingAutomaton
 from .cursor import TokenCursor
 from .errors import FormatError
@@ -187,10 +185,12 @@ def ltl_truth_vector(phi: Node, w: LassoWord) -> list[bool]:
     U iterate their one-step unfolding b | (a & next X) up from no
     position, G and R iterate b & (a | next X) down from every position.
     """
-    full, pre = w.full, w.pre
+    full, pre, memo = w.full, w.pre, {}
 
-    @functools.cache
-    def vec(f):
+    def vec(f):  # a dict, not functools.cache, which wraps anew per call
+        return memo[f] if f in memo else memo.setdefault(f, build(f))
+
+    def build(f):
         t = type(f)
         if t is Letter:
             return w.mask(f.name)

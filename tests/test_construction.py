@@ -98,27 +98,74 @@ def _reference_lift(tilde, size):
 
 
 def test_lifting_table_matches_the_definition():
-    # every entry of the lifting table of each SCC size up to 4 (3, 16, 125
-    # and 1296 entries): key k holds the intermediate values as digits in
-    # base size+2 (0, the own values, and inf as size+1), first state most
-    # significant, and its entry is the local code of the lifted values,
-    # the fired bits and the critical value; column j holds state j's
-    # coded value at each local code
+    # every entry of the table that SCCs of each size up to 4 share (3, 16,
+    # 125 and 1296 lifting entries): the value tuples in itertools.product
+    # order over {1..size, inf} and their codes; key k of the lifting holds
+    # the intermediate values as digits in base size+2 (0, the own values,
+    # and inf as size+1), first state most significant, and its entry is the
+    # local code of the lifted values, the fired bits and the critical
+    # value; column j holds state j's coded value at each local code; a
+    # recurring SCC's true atom is the all-inf column and its Or is max, a
+    # non-recurring SCC's the all-0 column and min
     for size in range(1, 5):
-        columns, lift = lifting_table(size)
+        values, code, columns, lift, polar = lifting_table(size)
         assert lifting_table(size) is lifting_table(size)
         domain = [*range(1, size + 1), INF]
-        values = list(itertools.product(domain, repeat=size))
-        states = [f"q{j}" for j in range(size)]
-        ring = {q: NextState(states[j - 1]) for j, q in enumerate(states)}
-        assert values == BackwardDetAutomaton(WeakAlternatingAutomaton(AB, states, ring, [])).scc_table(0).values
-        code = dict(zip(values, range(len(values))))
+        assert values == list(itertools.product(domain, repeat=size))
+        assert code == {own: k for k, own in enumerate(values)}
         assert len(lift) == (size + 2) ** size
         for key, tilde in enumerate(itertools.product([0, *domain], repeat=size)):
             lifted, fired, m = _reference_lift(tilde, size)
             assert lift[key] == (code[lifted], fired, m), (size, tilde)
         coded = {**{v: v for v in range(1, size + 1)}, INF: size + 1}
         assert columns == [tuple(coded[v] for v in column) for column in zip(*values)]
+        high, zero = [size + 1] * len(values), [0] * len(values)
+        a, b = list(columns[0]), list(columns[-1])[::-1]
+        for recurring, (yes, no, disj, conj) in polar.items():
+            assert (yes, no) == ((high, zero) if recurring else (zero, high))
+            assert disj(a, b) == list(map(max if recurring else min, a, b))
+            assert conj(a, b) == list(map(min if recurring else max, a, b))
+            assert disj(a, yes) is yes and conj(a, no) is no
+            assert disj(no, a) is a and conj(yes, a) is a
+
+
+def test_sccs_of_one_size_share_one_value_table():
+    # the value tuples, their codes and the own columns depend on the SCC
+    # size alone, so every SCC of one size, in any automaton, holds the same
+    # objects; only positions, acceptance masks and conditions are its own
+    rng = random.Random(11)
+    by_size = {}
+    for _ in range(40):
+        bda = BackwardDetAutomaton(random_waa(rng, AB, rng.randint(2, 6)))
+        for s, scc in enumerate(bda.waa.sccs):
+            by_size.setdefault(scc.size, []).append((bda, bda.scc_table(s), scc))
+    shared = 0
+    for size, tables in by_size.items():
+        values, code, columns, _, polar = lifting_table(size)
+        for bda, table, scc in tables:
+            assert table.values is values and table.code is code
+            assert all(table.own[q] is column for q, column in zip(scc.states, columns))
+            assert (table.yes, table.no, table.disj, table.conj) == polar[scc.recurring]
+            assert table.positions == tuple(bda.state_pos[q] for q in scc.states)
+        shared += size > 1 and len({id(bda) for bda, _, _ in tables}) > 1
+    assert shared >= 2
+
+
+def test_sccs_of_opposite_polarity_get_swapped_atoms():
+    # a recurring and a non-recurring SCC of two states: the true atom of
+    # one is the false atom of the other, and its Or the other's And
+    delta = {
+        "r0": NextState("r1"), "r1": Or(LetterSet({"a"}), NextState("r0")),
+        "n0": NextState("n1"), "n1": Or(LetterSet({"b"}), NextState("n0")),
+    }
+    waa = WeakAlternatingAutomaton(AB, ["n0", "n1", "r0", "r1"], delta, ["r0", "r1"])
+    bda = BackwardDetAutomaton(waa)
+    (rec,), (non,) = ([bda.scc_table(s) for s, scc in enumerate(waa.sccs) if scc.recurring is r] for r in (True, False))
+    assert rec.yes == [3] * 9 and rec.no == [0] * 9
+    assert rec.yes is non.no and rec.no is non.yes
+    assert rec.disj is non.conj and rec.conj is non.disj
+    assert rec.values is non.values and rec.code is non.code
+    assert rec.accepting != non.accepting
 
 
 def test_step_rows_match_the_definition():
