@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import graph
+from .errors import SemanticError
 from .node import And, Node, Or, subterms
 
 
@@ -177,6 +178,13 @@ def validate_weak(waa: WeakAlternatingAutomaton) -> list[SccInfo]:
     return [scc for scc in waa.sccs if scc.recurring is None]
 
 
+def require_weak(waa: WeakAlternatingAutomaton) -> None:
+    """SemanticError naming the first polarity-mixed SCC, if there is one."""
+    mixed = validate_weak(waa)
+    if mixed:
+        raise SemanticError(f"automaton is not weak, mixed SCC: {mixed[0].states}")
+
+
 def is_weak(waa: WeakAlternatingAutomaton) -> bool:
     return not validate_weak(waa)
 
@@ -188,8 +196,7 @@ def is_very_weak(waa: WeakAlternatingAutomaton) -> bool:
 def dualize(waa: WeakAlternatingAutomaton) -> WeakAlternatingAutomaton:
     """Complement automaton: dual conditions, polarities swapped.  The
     transition graph is unchanged, so weakness carries over."""
-    if validate_weak(waa):
-        raise ValueError("cannot dualize a non-weak automaton")
+    require_weak(waa)
     delta = {q: dual_condition(c, waa.alphabet) for q, c in waa.delta.items()}
     recurring = frozenset(waa.states) - waa.recurring
     return WeakAlternatingAutomaton(waa.alphabet, waa.states, delta, recurring, waa.initial)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .automata import LetterSet, WeakAlternatingAutomaton, fold, validate_weak
+from .automata import LetterSet, WeakAlternatingAutomaton, fold, require_weak
 from .errors import StateSpaceCapError
 
 INF = math.inf
@@ -82,8 +82,6 @@ class TransitionRecord:
     value of the transition with respect to that SCC.
     """
 
-    letter: str
-    source: ValueFamily
     result: ValueFamily
     fired: frozenset
     critical: tuple
@@ -135,9 +133,7 @@ class BackwardDetAutomaton:
     """
 
     def __init__(self, waa: WeakAlternatingAutomaton):
-        mixed = validate_weak(waa)
-        if mixed:
-            raise ValueError(f"automaton is not weak, mixed SCC: {mixed[0].states}")
+        require_weak(waa)
         self.waa = waa
         self.state_pos = pos = {q: i for i, q in enumerate(waa.states)}
         # Buchi index set: (scc index, i) with 1 <= i <= |S|; one set per state.
@@ -236,7 +232,7 @@ class BackwardDetAutomaton:
                 result[p] = v
             fired += [(s, i) for i in range(1, len(table.positions) + 1) if bits >> i - 1 & 1]
             critical.append(m)
-        return TransitionRecord(letter, family, tuple(result), frozenset(fired), tuple(critical))
+        return TransitionRecord(tuple(result), frozenset(fired), tuple(critical))
 
     def output(self, family: ValueFamily) -> frozenset:
         """Lambda: finite non-recurring values and infinite recurring ones."""

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import or_
 
 from . import graph
-from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton
+from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton, require_weak
 from .construction import INF, BackwardDetAutomaton, TransitionRecord
 from .errors import MultipleFinalRunsError, NoFinalRunError, SemanticError
 
@@ -105,9 +105,8 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
             return got
         raise TypeError(f"not a condition: {cond!r}")
 
+    require_weak(waa)
     for scc in waa.sccs:
-        if scc.recurring is None:
-            raise SemanticError(f"automaton is not weak, mixed SCC: {scc.states}")
         val.update(dict.fromkeys(scc.states, full if scc.recurring else 0))
         changed = True
         while changed:
@@ -145,13 +144,9 @@ class BackwardRun:
     def record(self, bda: BackwardDetAutomaton, i: int) -> TransitionRecord:
         return bda.step(self.word.letter(i), self.families[self.word.succ(i)])
 
-    def output(self, bda: BackwardDetAutomaton, i: int) -> frozenset:
-        mask = self.accepting[i]
-        return frozenset(q for q, p in bda.state_pos.items() if mask >> p & 1)
-
-    def outputs(self, bda: BackwardDetAutomaton) -> list:
+    def outputs(self, bda: BackwardDetAutomaton) -> tuple:
         decoded = {m: frozenset(q for q, p in bda.state_pos.items() if m >> p & 1) for m in set(self.accepting)}
-        return [decoded[m] for m in self.accepting]
+        return tuple(map(decoded.__getitem__, self.accepting))
 
 
 def _final_candidates(starts, period, need):
@@ -341,5 +336,5 @@ def language_member(automaton, w: LassoWord) -> bool:
     waa = automaton.waa if bda else automaton
     if waa.initial is None:
         raise SemanticError("automaton has no initial set")
-    accepting = bda_final_run(bda, w).output(bda, 0) if bda else waa_accept_table(waa, w)[0]
+    accepting = (bda_final_run(bda, w).outputs(bda) if bda else waa_accept_table(waa, w))[0]
     return bool(waa.initial & accepting)

@@ -353,18 +353,15 @@ def _condition_builder(alphabet, state_of, unfold):
     return build
 
 
-def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAlternatingAutomaton, list[str]]:
+def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton, list[str]]:
     """Subformula-per-state translation.
 
     Returns the automaton and the list of state names corresponding to the
-    tuple components; the automaton's initial set collects them.  When no
-    alphabet is given it is inferred from the letters that occur.
+    tuple components; the automaton's initial set collects them.
     """
     roots = list(phi_tuple)
     a = _require_translatable(roots)
     names = {f: f"s{i}" for i, f in enumerate(a.nodes)}
-    if alphabet is None:
-        alphabet = _alphabet_of(a.nodes)
     build = _condition_builder(alphabet, names.__getitem__, a.unfold)
     delta = {names[f]: build(f) for f in a.nodes}
 
@@ -377,7 +374,7 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAltern
     return waa, initial_states
 
 
-def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[WeakAlternatingAutomaton, list[str]]:
+def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton, list[str]]:
     """Variable-per-state translation.
 
     Applicable when every next-step operand denotes a fixed-point variable
@@ -386,8 +383,6 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
     """
     roots = list(phi_tuple)
     a = _require_translatable(roots)
-    if alphabet is None:
-        alphabet = _alphabet_of(a.nodes)
 
     def variable(f, role="next-step operand"):
         if isinstance(f, Var):
@@ -413,13 +408,6 @@ def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet | None = None) -> tuple[
         alphabet, a.binders.keys(), delta, recurring, initial=set(initial_states)
     )
     return waa, initial_states
-
-
-def _alphabet_of(nodes) -> Alphabet:
-    letters = {f.name for f in nodes if isinstance(f, (Letter, NegLetter))}
-    if not letters:
-        raise SemanticError("cannot infer an alphabet from a letter-free formula")
-    return Alphabet(tuple(letters))
 
 
 # De Morgan duals: of each node class that keeps its fields, and of each fixed-point kind

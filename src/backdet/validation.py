@@ -52,14 +52,8 @@ def exhaustive_lassos(alphabet: Alphabet, u_max: int, v_max: int):
 
 
 def exhaustive_lassos_total(alphabet: Alphabet, total_max: int):
-    """All lassos with |u| + |v| <= total_max."""
-    letters = list(alphabet)
-    for total in range(1, total_max + 1):
-        for vlen in range(1, total + 1):
-            ulen = total - vlen
-            for u in itertools.product(letters, repeat=ulen):
-                for v in itertools.product(letters, repeat=vlen):
-                    yield LassoWord(u, v)
+    """All lassos with |u| + |v| <= total_max, in :func:`exhaustive_lassos` order."""
+    return (w for w in exhaustive_lassos(alphabet, total_max - 1, total_max) if w.positions <= total_max)
 
 
 def random_condition(rng, alphabet, states, depth):
@@ -143,8 +137,8 @@ def check_ltl(
                 continue
             for failure in cross_validate(waa, w, bda, run).failures:
                 report.fail(formula=text, **failure)
-            for i, truth in enumerate(ltl_truth_vector(phi, w)):
-                if (q_phi in run.output(bda, i)) != truth:
+            for i, (out, truth) in enumerate(zip(run.outputs(bda), ltl_truth_vector(phi, w), strict=True)):
+                if (q_phi in out) != truth:
                     report.fail(formula=text, word=str(w), position=i,
                                 reason="backward output differs from formula semantics")
     return report
@@ -243,8 +237,8 @@ def check_nutl(
             except FinalRunError as e:
                 report.fail(formula=nutl.format_nutl(phi), word=str(w), reason=str(e))
                 continue
-            for i, s in enumerate(truth):
-                if (init in run.output(bda, i)) != (0 in s):
+            for i, (out, s) in enumerate(zip(run.outputs(bda), truth, strict=True)):
+                if (init in out) != (0 in s):
                     report.fail(formula=nutl.format_nutl(phi), word=str(w), position=i,
                                 reason="backward outputs differ from Kleene semantics")
             if waa_opt is not None:
@@ -261,7 +255,6 @@ def check_nba(
     alphabet: Alphabet = Alphabet(("a", "b")),
     n_max: int = 2,
     total_max: int = 4,
-    end_to_end: bool = True,
 ) -> CheckReport:
     """Rank-formula and end-to-end pipeline sweep for small NBAs."""
     rng = random.Random(seed)
@@ -272,7 +265,7 @@ def check_nba(
         nba = random_nba(rng, alphabet, n)
         table = build_rank_formulas(nba)
         flat = [f for level in table.chi for f in level]
-        pipeline = nba_to_bda(nba) if end_to_end else None
+        pipeline = nba_to_bda(nba)
         for w in lassos:
             report.cases += 1
             dag = peel_ranks(nba, w)
@@ -298,16 +291,15 @@ def check_nba(
                     if (len(flat) + j in truth[k]) != (q in accepted):
                         report.fail(word=str(w), position=k, state=q,
                                     reason="negated top-level formula disagrees with acceptance")
-            if pipeline is not None:
-                try:
-                    run = bda_final_run(pipeline.bda, w)
-                except FinalRunError as e:
-                    report.fail(word=str(w), reason=str(e))
-                    continue
-                for k, (got, accepted) in enumerate(zip(pipeline.outputs(run), direct)):
-                    if got != accepted:
-                        report.fail(word=str(w), position=k, reason="pipeline language differs",
-                                    pipeline=sorted(got), nba=sorted(accepted))
+            try:
+                run = bda_final_run(pipeline.bda, w)
+            except FinalRunError as e:
+                report.fail(word=str(w), reason=str(e))
+                continue
+            for k, (got, accepted) in enumerate(zip(pipeline.outputs(run), direct)):
+                if got != accepted:
+                    report.fail(word=str(w), position=k, reason="pipeline language differs",
+                                pipeline=sorted(got), nba=sorted(accepted))
     return report
 
 

@@ -166,8 +166,8 @@ def test_criterion_5_basic_approach_counterexample():
 def test_criterion_6_rank_formulas():
     # >= 50 sampled NBAs with n <= 2 x exhaustive lassos |u|+|v| <= 4:
     # chi truth sets equal the peeling ranks, ranks < 2n or infinite, final
-    # tuple matches direct acceptance (pipeline checked separately in 7)
-    result = check_nba(seed=17, count=50, n_max=2, total_max=4, end_to_end=False)
+    # tuple matches direct acceptance, and so does the pipeline's final run
+    result = check_nba(seed=17, count=50, n_max=2, total_max=4)
     report(
         6,
         result.ok,

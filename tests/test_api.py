@@ -34,7 +34,7 @@ def test_backward_run_holds_families_and_acceptance_masks():
     # records are rebuilt on demand through step, outputs decoded from masks
     fields = tuple(f.name for f in dataclasses.fields(backdet.BackwardRun))
     assert fields == ("word", "families", "accepting")
-    for method in ("record", "output", "outputs"):
+    for method in ("record", "outputs"):
         assert callable(getattr(backdet.BackwardRun, method)), method
 
 

@@ -13,6 +13,7 @@ from backdet.automata import (
     is_weak,
     validate_weak,
 )
+from backdet.errors import SemanticError
 from backdet.node import subterms
 
 AB = Alphabet(("a", "b"))
@@ -74,7 +75,7 @@ def test_mixed_scc_detected():
     mixed = validate_weak(waa)
     assert len(mixed) == 1
     assert not is_weak(waa)
-    with pytest.raises(ValueError):
+    with pytest.raises(SemanticError, match="mixed SCC"):
         dualize(waa)
 
 

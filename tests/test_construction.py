@@ -5,7 +5,7 @@ import pytest
 
 from backdet.automata import Alphabet, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
 from backdet.construction import INF, BackwardDetAutomaton, basic_step, lifting_table
-from backdet.errors import StateSpaceCapError
+from backdet.errors import SemanticError, StateSpaceCapError
 from backdet.lasso import LassoWord, bda_final_run
 from backdet.validation import random_waa
 
@@ -258,7 +258,7 @@ def test_output_function():
 def test_rejects_non_weak():
     delta = {"q0": NextState("q1"), "q1": NextState("q0")}
     waa = WeakAlternatingAutomaton(AB, ["q0", "q1"], delta, ["q0"])
-    with pytest.raises(ValueError):
+    with pytest.raises(SemanticError, match="mixed SCC"):
         BackwardDetAutomaton(waa)
 
 
@@ -270,3 +270,6 @@ def test_basic_step_two_fixed_families():
     assert basic_step(waa, "a", (INF,)) == (INF,)
     with pytest.raises(ValueError):
         basic_step(waa, "a", (2,))
+    # delta(q) = [a] | X q: the letter test is 1 where the letter is in its set
+    assert basic_step(eventually_a(), "a", (INF,)) == (1,)
+    assert basic_step(eventually_a(), "b", (INF,)) == (INF,)

@@ -95,7 +95,7 @@ def test_final_run_eventually_frozen_families():
 
     run = bda_final_run(bda, LassoWord((), ("b",)))
     assert run.families == ((INF, INF),)
-    assert run.outputs(bda) == [frozenset()]
+    assert run.outputs(bda) == (frozenset(),)
 
     run = bda_final_run(bda, LassoWord(("b",), ("a", "b")))
     assert [bda.format_family(f) for f in run.families] == [
@@ -103,11 +103,11 @@ def test_final_run_eventually_frozen_families():
         "q_F_a=1 q_a=1",
         "q_F_a=1 q_a=inf",
     ]
-    assert run.outputs(bda) == [
+    assert run.outputs(bda) == (
         frozenset({"q_F_a"}),
         frozenset({"q_F_a", "q_a"}),
         frozenset({"q_F_a"}),
-    ]
+    )
 
 
 def test_final_run_always_frozen_families():
@@ -134,7 +134,7 @@ def assert_outputs_and_fired(bda, run):
     """The outputs decoded from the run's acceptance masks are lambda of its
     families, and the loop's transitions fire every Buchi index of every
     SCC (the final cycle has length one)."""
-    assert run.outputs(bda) == [bda.output(f) for f in run.families]
+    assert run.outputs(bda) == tuple(bda.output(f) for f in run.families)
     w = run.word
     fired = set().union(*(run.record(bda, i).fired for i in range(w.loop_start, w.positions)))
     assert fired >= set(bda.buchi_indices), (str(w), set(bda.buchi_indices) - fired)

@@ -243,9 +243,8 @@ def test_translation_matches_semantics(texts):
     bda = BackwardDetAutomaton(waa)
     for w in exhaustive_lassos(AB, 2, 2):
         truth = nutl_eval_lasso(roots, w)
-        run = bda_final_run(bda, w)
-        for i in range(w.positions):
-            got = {j for j, init in enumerate(inits) if init in run.output(bda, i)}
+        for i, out in enumerate(bda_final_run(bda, w).outputs(bda)):
+            got = {j for j, init in enumerate(inits) if init in out}
             assert got == truth[i], (texts, str(w), i)
 
 

@@ -1,5 +1,8 @@
-from backdet import lasso, validation
+import pytest
+
+from backdet import lasso, nutl, validation
 from backdet.automata import Alphabet, is_weak
+from backdet.errors import NoFinalRunError
 from backdet.lasso import LassoWord
 from backdet.nba import nba_accept_table
 from backdet.validation import (
@@ -101,6 +104,47 @@ def test_nba_sweep_names_each_position_the_buchi_oracle_misses(monkeypatch):
         "negated top-level formula disagrees with acceptance": accepting,
         "pipeline language differs": {(w, i, None) for w, i, _ in accepting},
     }
+
+
+def _no_final_run(bda, w):
+    raise NoFinalRunError("no final run", word=w)
+
+
+# each sweep with one oracle answering wrong: the reasons it must report, and
+# whether each names a position
+SEMANTICS = "backward output differs from formula semantics"
+KLEENE = {"dual formula is not the complement": False,
+          "backward outputs differ from Kleene semantics": True,
+          "optimized translation changes the language": True}
+BUCHI = {"negated top-level formula disagrees with acceptance": True,
+         "pipeline language differs": True}
+
+
+@pytest.mark.parametrize("sweep, owner, attr, wrong, reasons", [
+    (lambda: check_ltl(count=2, u_max=1, v_max=1), validation, "ltl_truth_vector",
+     lambda real: lambda phi, w: [not t for t in real(phi, w)], {SEMANTICS: True}),
+    (lambda: check_nutl(count=10), nutl, "nutl_eval_lasso",
+     lambda real: lambda fs, w: [frozenset()] * w.positions, KLEENE),
+    (lambda: check_nba(count=2, total_max=2), validation, "nba_accept_table",
+     lambda real: lambda nba, w: (frozenset(),) * w.positions, BUCHI),
+    (lambda: check_uniqueness(count=3), validation, "count_final_candidates",
+     lambda real: lambda bda, w, cap: 2, {"2 final candidates": False}),
+    (lambda: check_ltl(count=1, u_max=1, v_max=1), validation, "bda_final_run",
+     lambda real: _no_final_run, {"no final run": False}),
+    (lambda: check_nutl(count=2), validation, "bda_final_run",
+     lambda real: _no_final_run, {"no final run": False}),
+    (lambda: check_nba(count=1, total_max=2), validation, "bda_final_run",
+     lambda real: _no_final_run, {"no final run": False}),
+], ids=["ltl", "nutl", "nba", "uniqueness", "ltl-no-run", "nutl-no-run", "nba-no-run"])
+def test_sweeps_report_each_failure_with_its_word_reason_and_position(
+        monkeypatch, sweep, owner, attr, wrong, reasons):
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    r = sweep()
+    assert not r.ok
+    assert {f["reason"] for f in r.failures} == set(reasons)
+    for f in r.failures:
+        assert f["word"]
+        assert ("position" in f) == reasons[f["reason"]], f
 
 
 def test_small_sweeps_pass():
