@@ -55,16 +55,21 @@ class NextState(Node):
         return frozenset({self.state})
 
 
-def fold(cond: Node, atom, disj, conj):
+def fold(cond: Node, atom, disj, conj, or_stop=None, and_stop=None):
     """Bottom-up walk of a condition tree: ``atom`` maps each letter test and
     next-state reference to a value, ``disj`` and ``conj`` combine the values
-    of an Or or And node's two children.  No class subclasses the four node
+    of an Or or And node's two children.  An Or whose left value is
+    ``or_stop``, or an And whose left value is ``and_stop`` (by identity),
+    returns that value without walking its right child, so a caller passes
+    only values that decide the combine.  No class subclasses the four node
     classes, so the dispatch compares types."""
     t = type(cond)
     if t is Or:
-        return disj(fold(cond.left, atom, disj, conj), fold(cond.right, atom, disj, conj))
+        left = fold(cond.left, atom, disj, conj, or_stop, and_stop)
+        return left if left is or_stop else disj(left, fold(cond.right, atom, disj, conj, or_stop, and_stop))
     if t is And:
-        return conj(fold(cond.left, atom, disj, conj), fold(cond.right, atom, disj, conj))
+        left = fold(cond.left, atom, disj, conj, or_stop, and_stop)
+        return left if left is and_stop else conj(left, fold(cond.right, atom, disj, conj, or_stop, and_stop))
     if t is LetterSet or t is NextState:
         return atom(cond)
     raise TypeError(f"not a condition: {cond!r}")
@@ -128,9 +133,15 @@ class WeakAlternatingAutomaton:
             if cond.free - declared:
                 raise ValueError(f"delta({q}) references undeclared state {min(cond.free - declared)}")
         for sub in subterms(list(self.delta.values())):
-            if type(sub) is LetterSet and (bad := sorted(sub.letters.difference(self.alphabet.letters))):
+            kind = type(sub)
+            if kind is Or or kind is And or kind is NextState:
+                continue
+            bad = sorted(sub.letters.difference(self.alphabet.letters)) if kind is LetterSet else None
+            if bad or kind is not LetterSet:
                 q = next(q for q, cond in self.delta.items() if sub in subterms([cond]))
-                raise ValueError(f"delta({q}) uses letters outside the alphabet: {bad}")
+                if bad:
+                    raise ValueError(f"delta({q}) uses letters outside the alphabet: {bad}")
+                raise ValueError(f"delta({q}) holds a {kind.__name__} node, which is not a condition")
         if not self.recurring <= declared:
             raise ValueError("recurring set contains undeclared states")
         if self.initial is not None and not self.initial <= declared:

@@ -171,8 +171,9 @@ class BackwardDetAutomaton:
 
     def scc_row(self, s: int, letter: str, outside: int) -> list:
         """Build SCC s's step row for ``letter`` and the outside acceptance
-        bits ``outside`` into ``scc_memo[s]`` (callers look there first):
-        entry ``code`` holds (successor code, fired bits, critical value).
+        bits ``outside`` (masked to ``outside_mask[s]``) into ``scc_memo[s]``
+        (callers look there first): entry ``code`` holds (successor code,
+        fired bits, critical value).
 
         Each state's condition is folded once over the SCC's int-coded value
         columns (:class:`SccTable`, which holds all that does not depend on
@@ -180,15 +181,17 @@ class BackwardDetAutomaton:
         test or an outside state is the shared column ``yes`` when it holds,
         else ``no``: ``inf`` when its truth equals the state's polarity, else
         ``zero``, which under max and min absorbs the other side or drops
-        out.  Each code's intermediate values, as one int, index the lifting
-        table.  A letter outside the alphabet raises ValueError, so the memo
-        keeps its bound.
+        out.  So ``yes`` decides an Or and ``no`` an And, and the fold does
+        not walk the right side of a node whose left side decides it.  Each code's intermediate values, as one int, index
+        the lifting table.  A letter outside the alphabet raises ValueError,
+        so the memo keeps its bound.
         """
         waa, pos = self.waa, self.state_pos
         if letter not in waa.alphabet:
             raise ValueError(f"letter {letter!r} not in the alphabet {' '.join(waa.alphabet)}")
         table = self.scc_tables[s] or self.scc_table(s)
         own, yes, no, size = table.own, table.yes, table.no, len(table.positions)
+        outside &= self.outside_mask[s]
 
         def atom(c):
             if isinstance(c, LetterSet):
@@ -197,7 +200,7 @@ class BackwardDetAutomaton:
                 return own[c.state]
             return yes if outside >> pos[c.state] & 1 else no
 
-        keys, *rest = [fold(c, atom, table.disj, table.conj) for c in table.conditions]
+        keys, *rest = [fold(c, atom, table.disj, table.conj, yes, no) for c in table.conditions]
         for column in rest:
             keys = [k * (size + 2) + v for k, v in zip(keys, column)]
         row = self.scc_memo[s][(letter, outside)] = list(map(lifting_table(size)[3].__getitem__, keys))

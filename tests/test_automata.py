@@ -1,5 +1,6 @@
 import pytest
 
+from backdet import nutl
 from backdet.automata import (
     Alphabet,
     And,
@@ -9,6 +10,7 @@ from backdet.automata import (
     WeakAlternatingAutomaton,
     dual_condition,
     dualize,
+    fold,
     is_very_weak,
     is_weak,
     validate_weak,
@@ -40,6 +42,25 @@ def test_dual_condition_involution():
     d = dual_condition(c, AB)
     assert isinstance(d, And)
     assert dual_condition(d, AB) == c
+
+
+def test_fold_stops_at_a_deciding_left_value():
+    # an Or whose left child folds to its stop value, or an And whose left
+    # child folds to its own, returns that very value and never walks the
+    # right child: here a Var, which fold rejects when it reaches it
+    yes, no = ["yes"], ["no"]
+    atom = {LetterSet({"a"}): yes, LetterSet({"b"}): no}.__getitem__
+    never = nutl.Var("q")
+    for cond, stop in ((Or(LetterSet({"a"}), never), yes), (And(LetterSet({"b"}), never), no)):
+        assert fold(cond, atom, list.__add__, list.__add__, yes, no) is stop
+        with pytest.raises(TypeError, match="not a condition: Var"):
+            fold(cond, atom, list.__add__, list.__add__)
+    # a left value equal to the stop value but not the same object walks on
+    with pytest.raises(TypeError, match="not a condition: Var"):
+        fold(Or(LetterSet({"a"}), never), atom, list.__add__, list.__add__, ["yes"], no)
+    # the stop of the other operator decides nothing
+    with pytest.raises(TypeError, match="not a condition: Var"):
+        fold(Or(LetterSet({"b"}), never), atom, list.__add__, list.__add__, yes, no)
 
 
 def _two_cycle():
@@ -102,9 +123,13 @@ def test_validation_errors():
 def test_validation_error_texts():
     undeclared = {"q": Or(LetterSet({"a"}), NextState("nope"))}
     foreign = {"q": NextState("r"), "r": And(LetterSet({"a", "z", "c"}), NextState("q"))}
+    # a formula node inside a condition: it would fold on some letters and
+    # raise on others, so construction rejects it
+    formula = {"q": Or(LetterSet({"a"}), nutl.Var("q"))}
     for states, delta, text in (
         (["q"], undeclared, "delta(q) references undeclared state nope"),
         (["q", "r"], foreign, "delta(r) uses letters outside the alphabet: ['c', 'z']"),
+        (["q"], formula, "delta(q) holds a Var node, which is not a condition"),
     ):
         with pytest.raises(ValueError) as e:
             WeakAlternatingAutomaton(AB, states, delta, [])

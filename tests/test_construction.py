@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from backdet.automata import Alphabet, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
+from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
 from backdet.construction import INF, BackwardDetAutomaton, basic_step, lifting_table
 from backdet.errors import SemanticError, StateSpaceCapError
 from backdet.lasso import LassoWord, bda_final_run
-from backdet.validation import random_waa
+from backdet.nba import nba_to_bda
+from backdet.validation import random_nba, random_waa
 
 AB = Alphabet(("a", "b"))
 
@@ -59,6 +60,30 @@ def test_foreign_letters_are_rejected_before_a_row_is_kept():
             bda_final_run(bda, LassoWord(("a",), (f"x{k}",)))
     assert bda_final_run(bda, LassoWord((), ("a",))).families == ((1,),)
     assert len(bda.scc_memo[0]) <= len(AB)
+
+
+def test_outside_bits_are_masked_before_a_row_is_kept():
+    # a direct scc_row call may pass acceptance bits of states the SCC does
+    # not read; they are masked off before the memo is keyed, so scc_memo
+    # keeps one row per letter and pattern of the outside states read
+    delta = {
+        "p": And(NextState("q"), Or(LetterSet({"b"}), NextState("p"))),
+        "q": Or(LetterSet({"a"}), NextState("q")),
+    }
+    waa = WeakAlternatingAutomaton(AB, ["p", "q"], delta, [])
+    s, mask = waa.scc_of("p"), 1 << BackwardDetAutomaton(waa).state_pos["q"]
+    rows = {}
+    for letter, outside in itertools.product(AB, (0, mask)):
+        bda = BackwardDetAutomaton(waa)
+        assert bda.outside_mask[s] == mask
+        rows[letter, outside] = bda.scc_row(s, letter, outside)
+    assert rows["a", 0] != rows["a", mask]
+    bda = BackwardDetAutomaton(waa)
+    for letter, bits in itertools.product(AB, range(64)):
+        row = bda.scc_row(s, letter, bits)
+        assert bda.scc_memo[s][(letter, bits & mask)] is row
+        assert row == rows[letter, bits & mask], (letter, bits)
+    assert sorted(bda.scc_memo[s]) == sorted(rows)
 
 
 def _reference_entry(bda, s, letter, outside, own):
@@ -168,10 +193,24 @@ def test_sccs_of_opposite_polarity_get_swapped_atoms():
     assert rec.accepting != non.accepting
 
 
-def test_step_rows_match_the_definition():
+def _assert_rows_match_the_definition(bda):
     # every entry of every row, for every letter and every subset of the
-    # outside states an SCC reads, on random weak automata with SCCs of up
-    # to 4 states: successor code, fired bits and critical value
+    # outside states an SCC reads: successor code, fired bits and critical
+    # value
+    waa = bda.waa
+    for s, scc in enumerate(waa.sccs):
+        mask = bda.outside_mask[s]
+        bits = [(0, 1 << p) for p in range(len(waa.states)) if mask >> p & 1]
+        for letter, chosen in itertools.product(AB, itertools.product(*bits)):
+            outside = sum(chosen)
+            row = bda.scc_row(s, letter, outside)
+            assert bda.scc_memo[s][(letter, outside)] is row
+            for code, own in enumerate(bda.scc_table(s).values):
+                assert row[code] == _reference_entry(bda, s, letter, outside, own), (s, letter, outside, own)
+
+
+def test_step_rows_match_the_definition():
+    # random weak automata with SCCs of up to 4 states
     rng = random.Random(5)
     sizes = set()
     automata = 0
@@ -180,18 +219,31 @@ def test_step_rows_match_the_definition():
         if max(scc.size for scc in waa.sccs) > 4:
             continue
         automata += 1
-        bda = BackwardDetAutomaton(waa)
-        for s, scc in enumerate(waa.sccs):
-            sizes.add(scc.size)
-            mask = bda.outside_mask[s]
-            bits = [(0, 1 << p) for p in range(len(waa.states)) if mask >> p & 1]
-            for letter, chosen in itertools.product(AB, itertools.product(*bits)):
-                outside = sum(chosen)
-                row = bda.scc_row(s, letter, outside)
-                assert bda.scc_memo[s][(letter, outside)] is row
-                for code, own in enumerate(bda.scc_table(s).values):
-                    assert row[code] == _reference_entry(bda, s, letter, outside, own), (s, letter, outside, own)
+        sizes.update(scc.size for scc in waa.sccs)
+        _assert_rows_match_the_definition(BackwardDetAutomaton(waa))
     assert sizes == {1, 2, 3, 4}
+
+
+def test_rank_automaton_rows_match_the_definition():
+    # the rank automata of 3-state Buchi automata: their conditions are long
+    # left-deep And chains of ([b] | X p) factors, so a letter test or an
+    # outside state decides most Or and And nodes and the row fold stops
+    # there; random_waa rarely draws that shape.  An SCC high in the ranks
+    # reads up to 17 outside states, so only automata with at most 20 000
+    # row entries in all are checked
+    rng = random.Random(7)
+    sizes = set()
+    automata = 0
+    while automata < 5:
+        bda = nba_to_bda(random_nba(rng, AB, 3)).bda
+        sccs = bda.waa.sccs
+        entries = [(len(AB) << m.bit_count()) * (scc.size + 1) ** scc.size for scc, m in zip(sccs, bda.outside_mask)]
+        if sum(entries) > 20_000:
+            continue
+        automata += 1
+        sizes.update(scc.size for scc in sccs)
+        _assert_rows_match_the_definition(bda)
+    assert sizes == {1, 2, 3}
 
 
 def test_buchi_count_equals_state_count():
