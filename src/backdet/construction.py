@@ -105,9 +105,9 @@ class SccTable(NamedTuple):
 
 
 def _pointwise(f, absorbing, neutral):
-    """``f`` entry by entry; an ``absorbing`` column decides, a ``neutral`` one drops out."""
+    """``f`` entry by entry: an absorbing ``b`` decides (fold stops at an absorbing ``a``), a neutral one drops out."""
     def combine(a, b):
-        if a is absorbing or b is neutral:
+        if b is neutral:
             return a
         if b is absorbing or a is neutral:
             return b

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import or_
 
 from . import graph
-from .automata import And, LetterSet, NextState, Or, WeakAlternatingAutomaton, require_weak
+from .automata import And, NextState, Or, WeakAlternatingAutomaton, require_weak
 from .construction import INF, BackwardDetAutomaton, TransitionRecord
 from .errors import MultipleFinalRunsError, NoFinalRunError, SemanticError
 
@@ -98,12 +98,11 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
         if t is Or:
             left = ev(cond.left)
             return left if left == full else left | ev(cond.right)
-        if t is LetterSet:
-            got = 0
-            for a in cond.letters:
-                got |= w.mask(a)
-            return got
-        raise TypeError(f"not a condition: {cond!r}")
+        # a LetterSet, the one node class left after validation
+        got = 0
+        for a in cond.letters:
+            got |= w.mask(a)
+        return got
 
     require_weak(waa)
     for scc in waa.sccs:

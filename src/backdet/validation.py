@@ -40,6 +40,8 @@ from .ltl import ltl_to_waa, ltl_truth_vector, random_ltl
 from .nba import NBA, build_rank_formulas, nba_accept_table, nba_to_bda, peel_ranks
 from .node import Node
 
+AB = Alphabet(("a", "b"))
+
 
 def exhaustive_lassos(alphabet: Alphabet, u_max: int, v_max: int):
     """All lassos with |u| <= u_max and 1 <= |v| <= v_max."""
@@ -96,14 +98,7 @@ def random_nba(rng, alphabet: Alphabet, n_states: int, density: float = 0.5) -> 
     return NBA(alphabet, states, initial, transitions, buchi)
 
 
-def check_ltl(
-    seed: int = 7,
-    count: int = 200,
-    size: int = 8,
-    alphabet: Alphabet = Alphabet(("a", "b")),
-    u_max: int = 2,
-    v_max: int = 3,
-) -> CheckReport:
+def check_ltl(seed: int = 7, count: int = 200) -> CheckReport:
     """Main-construction sweep over random formulas.
 
     For every formula the backward automaton's outputs on every lasso and
@@ -112,11 +107,11 @@ def check_ltl(
     """
     rng = random.Random(seed)
     report = CheckReport("ltl")
-    lassos = list(exhaustive_lassos(alphabet, u_max, v_max))
-    for case in range(count):
-        phi = random_ltl(rng, alphabet, size)
+    lassos = list(exhaustive_lassos(AB, 2, 3))
+    for _ in range(count):
+        phi = random_ltl(rng, AB, 8)
         text = ltl.format_ltl(phi)
-        waa = ltl_to_waa(phi, alphabet)
+        waa = ltl_to_waa(phi, AB)
         n = len(waa.states)
         bda = BackwardDetAutomaton(waa)
         if not is_very_weak(waa):
@@ -144,21 +139,14 @@ def check_ltl(
     return report
 
 
-def check_dual(
-    seed: int = 11,
-    count: int = 100,
-    max_states: int = 5,
-    alphabet: Alphabet = Alphabet(("a", "b")),
-    u_max: int = 2,
-    v_max: int = 2,
-) -> CheckReport:
+def check_dual(seed: int = 11, count: int = 100) -> CheckReport:
     """Complementation sweep: acceptance flips under dualization for every
     state and position of every sampled automaton."""
     rng = random.Random(seed)
     report = CheckReport("dual")
-    lassos = list(exhaustive_lassos(alphabet, u_max, v_max))
+    lassos = list(exhaustive_lassos(AB, 2, 2))
     for _ in range(count):
-        waa = random_waa(rng, alphabet, rng.randint(1, max_states))
+        waa = random_waa(rng, AB, rng.randint(1, 5))
         dual = dualize(waa)
         for w in lassos:
             table = waa_accept_table(waa, w)
@@ -199,29 +187,23 @@ def random_nutl(rng, alphabet: Alphabet, depth: int = 3, scope=()) -> Node:
     return nutl.Fix(kind, rng.randrange(r), names, bodies)
 
 
-def check_nutl(
-    seed: int = 13,
-    count: int = 60,
-    alphabet: Alphabet = Alphabet(("a", "b")),
-    u_max: int = 1,
-    v_max: int = 2,
-) -> CheckReport:
+def check_nutl(seed: int = 13, count: int = 60) -> CheckReport:
     """Fixed-point frontend sweep: Kleene evaluation against the backward
     automaton outputs, duality, and optimized-translation agreement."""
     rng = random.Random(seed)
     report = CheckReport("nutl")
-    lassos = list(exhaustive_lassos(alphabet, u_max, v_max))
+    lassos = list(exhaustive_lassos(AB, 1, 2))
     produced = 0
     while produced < count:
-        phi = random_nutl(rng, alphabet)
+        phi = random_nutl(rng, AB)
         try:
-            waa, (init,) = nutl.nutl_to_waa([phi], alphabet)
+            waa, (init,) = nutl.nutl_to_waa([phi], AB)
         except SemanticError:
             continue
         produced += 1
         bda = BackwardDetAutomaton(waa)
         try:
-            waa_opt, init_opt = nutl.nutl_to_waa_optimized([phi], alphabet)
+            waa_opt, init_opt = nutl.nutl_to_waa_optimized([phi], AB)
         except SemanticError:
             waa_opt = None
         pair = [phi, nutl.dual_nutl(phi)]
@@ -249,20 +231,14 @@ def check_nutl(
     return report
 
 
-def check_nba(
-    seed: int = 17,
-    count: int = 50,
-    alphabet: Alphabet = Alphabet(("a", "b")),
-    n_max: int = 2,
-    total_max: int = 4,
-) -> CheckReport:
+def check_nba(seed: int = 17, count: int = 50) -> CheckReport:
     """Rank-formula and end-to-end pipeline sweep for small NBAs."""
     rng = random.Random(seed)
     report = CheckReport("nba")
-    lassos = list(exhaustive_lassos_total(alphabet, total_max))
+    lassos = list(exhaustive_lassos_total(AB, 4))
     for _ in range(count):
-        n = rng.randint(1, n_max)
-        nba = random_nba(rng, alphabet, n)
+        n = rng.randint(1, 2)
+        nba = random_nba(rng, AB, n)
         table = build_rank_formulas(nba)
         flat = [f for level in table.chi for f in level]
         pipeline = nba_to_bda(nba)
@@ -303,28 +279,18 @@ def check_nba(
     return report
 
 
-def check_uniqueness(
-    seed: int = 23,
-    count: int = 40,
-    alphabet: Alphabet = Alphabet(("a", "b")),
-    max_states: int = 4,
-    u_max: int = 1,
-    v_max: int = 2,
-    cap: int = 1 << 12,
-) -> CheckReport:
+def check_uniqueness(seed: int = 23, count: int = 40) -> CheckReport:
     """Backward-determinism sweep: exhaustive h-cycle enumeration must find
     exactly one final candidate for every automaton and lasso."""
     rng = random.Random(seed)
     report = CheckReport("uniqueness")
-    lassos = list(exhaustive_lassos(alphabet, u_max, v_max))
+    lassos = list(exhaustive_lassos(AB, 1, 2))
     for _ in range(count):
-        waa = random_waa(rng, alphabet, rng.randint(1, max_states))
+        waa = random_waa(rng, AB, rng.randint(1, 4))
         bda = BackwardDetAutomaton(waa)
-        if bda.state_space_bound > cap:
-            continue
         for w in lassos:
             report.cases += 1
-            candidates = count_final_candidates(bda, w, cap=cap)
+            candidates = count_final_candidates(bda, w)
             if candidates != 1:
                 report.fail(word=str(w), reason=f"{candidates} final candidates")
     return report

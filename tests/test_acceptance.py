@@ -43,11 +43,11 @@ def report(number, ok, detail):
 def test_criterion_1_main_theorem_equivalence():
     # 200 random formulas (size <= 8, 2 letters, fixed seed) x exhaustive
     # lassos |u| <= 2, |v| <= 3: lambda outputs equal the oracle sets at
-    # every quotient position
-    result = check_ltl(seed=7, count=200, size=8, u_max=2, v_max=3)
+    # every quotient position; the case count pins the sweep's sizes
+    result = check_ltl(seed=7, count=200)
     report(
         1,
-        result.ok,
+        result.ok and result.cases == 19600,
         f"lambda(r(i)) == oracle on {result.cases} formula/lasso cases "
         f"({len(result.failures)} mismatches)",
     )
@@ -132,10 +132,12 @@ def test_criterion_3_bounds():
 
 
 def test_criterion_4_complementation():
-    result = check_dual(seed=11, count=100, max_states=5, u_max=2, v_max=2)
+    # up to 5 states x exhaustive lassos |u| <= 2, |v| <= 2; the case count
+    # pins the sweep's sizes
+    result = check_dual(seed=11, count=100)
     report(
         4,
-        result.ok,
+        result.ok and result.cases == 39130,
         f"accepted XOR dual-accepted on {result.cases} state/position cases",
     )
 
@@ -166,11 +168,12 @@ def test_criterion_5_basic_approach_counterexample():
 def test_criterion_6_rank_formulas():
     # >= 50 sampled NBAs with n <= 2 x exhaustive lassos |u|+|v| <= 4:
     # chi truth sets equal the peeling ranks, ranks < 2n or infinite, final
-    # tuple matches direct acceptance, and so does the pipeline's final run
-    result = check_nba(seed=17, count=50, n_max=2, total_max=4)
+    # tuple matches direct acceptance, and so does the pipeline's final run;
+    # the case count pins the sweep's sizes
+    result = check_nba(seed=17, count=50)
     report(
         6,
-        result.ok,
+        result.ok and result.cases == 4900,
         f"chi == peeling oracle on {result.cases} NBA/lasso cases "
         f"({len(result.failures)} mismatches)",
     )

@@ -126,11 +126,15 @@ def test_validation_error_texts():
     # a formula node inside a condition: it would fold on some letters and
     # raise on others, so construction rejects it
     formula = {"q": Or(LetterSet({"a"}), nutl.Var("q"))}
-    for states, delta, text in (
-        (["q"], undeclared, "delta(q) references undeclared state nope"),
-        (["q", "r"], foreign, "delta(r) uses letters outside the alphabet: ['c', 'z']"),
-        (["q"], formula, "delta(q) holds a Var node, which is not a condition"),
+    loop = {"q": NextState("q")}
+    for states, delta, initial, text in (
+        (["q"], undeclared, None, "delta(q) references undeclared state nope"),
+        (["q", "r"], foreign, None, "delta(r) uses letters outside the alphabet: ['c', 'z']"),
+        (["q"], formula, None, "delta(q) holds a Var node, which is not a condition"),
+        (["q", "q"], loop, None, "duplicate state ids"),
+        (["q"], {**loop, "r": NextState("q")}, None, "delta defined for undeclared states: ['r']"),
+        (["q"], loop, ["r"], "initial set contains undeclared states"),
     ):
         with pytest.raises(ValueError) as e:
-            WeakAlternatingAutomaton(AB, states, delta, [])
+            WeakAlternatingAutomaton(AB, states, delta, [], initial)
         assert str(e.value) == text

@@ -14,6 +14,7 @@ from backdet.formats import (
     parse_waa,
 )
 from backdet.nba import NBA
+from backdet.nutl import Var
 
 AB = Alphabet(("a", "b"))
 
@@ -84,18 +85,22 @@ def test_condition_errors():
         with pytest.raises(FormatError) as err:
             parse_condition(text, AB, {"q"})
         assert err.value.position == position, text
+    with pytest.raises(TypeError, match=r"not a condition: Var\(name='q'\)"):
+        format_condition(Var("q"))
 
 
 def test_waa_condition_errors_name_their_line():
     head = "alphabet: a b\nstates: q\nrecurring:\n"
-    for body, position in (
-        ("delta q = [a] | X r\n", "line 4, condition offset 8"),
-        ("# comment\ndelta q = [a] |\n", "line 5, condition offset 5"),
-        ("delta q = [c]\n", "line 4, condition offset 1"),
+    for body, reason, position in (
+        ("delta q = [a] | X r\n", "unknown state 'r' in condition", "line 4, condition offset 8"),
+        ("# comment\ndelta q = [a] |\n", "unexpected end of condition", "line 5, condition offset 5"),
+        ("delta q = [c]\n", "letter 'c' not in alphabet", "line 4, condition offset 1"),
+        ("delta q [a]\n", "delta line needs '='", "line 4"),
+        ("edge q\n", "unrecognized line: 'edge q'", "line 4"),
     ):
         with pytest.raises(FormatError) as err:
             parse_waa(head + body)
-        assert err.value.position == position, body
+        assert (err.value.reason, err.value.position) == (reason, position), body
         assert str(err.value).endswith(f"(at {position})")
 
 
@@ -158,10 +163,16 @@ def test_nba_round_trip():
 
 
 def test_nba_parse_errors():
-    with pytest.raises(FormatError):
-        parse_nba("alphabet: a\nstates: q\ninitial: q\ntrans q a\n")
-    with pytest.raises(FormatError):
-        parse_nba("alphabet: a\nstates: q\ninitial: q\n")  # missing buchi
+    head = "alphabet: a\nstates: q\ninitial: q\n"
+    for text, message in (
+        (head + "trans q a\n", "missing 'buchi:' line"),
+        (head, "missing 'buchi:' line"),
+        (head + "buchi: q\ntrans q a\n", "trans line needs 'trans q a q2' (at line 5)"),
+        (head + "buchi: q\nedge q a q\n", "unrecognized line: 'edge q a q' (at line 5)"),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse_nba(text)
+        assert str(err.value) == message, text
 
 
 def test_parse_lasso():

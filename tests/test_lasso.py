@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
 from backdet.dot import period_graph_to_dot
-from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
+from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError, SemanticError
 from backdet.formats import format_bda, parse_waa
 from backdet.lasso import (
     DEFAULT_ENUMERATION_CAP,
@@ -22,7 +22,7 @@ from backdet.lasso import (
     waa_accept_table,
     waa_accepts_lasso,
 )
-from backdet.ltl import ltl_to_waa, ltl_truth_vector, parse_ltl, random_ltl
+from backdet.ltl import ltl_eval_lasso, ltl_to_waa, ltl_truth_vector, parse_ltl, random_ltl
 from backdet.nba import nba_accept_table, nba_to_bda
 from backdet.validation import exhaustive_lassos, random_nba, random_waa
 
@@ -87,6 +87,11 @@ def test_accepts_lasso_rejects_unknown_position_and_state():
         waa_accepts_lasso(waa, "q_G_a", w, 1)
     with pytest.raises(ValueError, match="unknown state 'q_F_a'"):
         waa_accepts_lasso(waa, "q_F_a", w, 0)
+    with pytest.raises(ValueError, match="position 1 outside quotient range"):
+        ltl_eval_lasso(parse_ltl("G a", AB), w, 1)
+    without_initial = WeakAlternatingAutomaton(AB, waa.states, waa.delta, waa.recurring)
+    with pytest.raises(SemanticError, match="automaton has no initial set"):
+        language_member(without_initial, w)
 
 
 def test_final_run_eventually_frozen_families():

@@ -61,6 +61,13 @@ def test_parse_errors():
         assert e.value.position == 4, text
     with pytest.raises(ValueError):
         Fix(MU, 0, ("X", "X"), (Var("X"), Var("X")))
+    with pytest.raises(ValueError, match="fix kind must be 'mu' or 'nu'"):
+        Fix("sigma", 0, ("X",), (Var("X"),))
+    # the dependence analysis rejects what the parser never builds
+    twice = Or(Fix(MU, 0, ("X",), (Next(Var("X")),)), Fix(NU, 0, ("X",), (Letter("a"),)))
+    for phi, text in ((twice, "variable 'X' bound more than once"), (Next(Var("X")), "free variable 'X'")):
+        with pytest.raises(SemanticError, match=text):
+            check_guarded(phi)
 
 
 def test_format_round_trip():

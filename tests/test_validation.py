@@ -62,10 +62,10 @@ def test_sweeps_deterministic_under_seed():
 def test_dual_sweep_names_each_position_and_state_that_does_not_flip(monkeypatch):
     # with dualization replaced by the identity, every case fails
     monkeypatch.setattr(validation, "dualize", lambda waa: waa)
-    r = check_dual(seed=5, count=1, u_max=1, v_max=1)
+    r = check_dual(seed=5, count=1)
     assert r.cases == len(r.failures) > 0
     assert {(f["word"], f["position"]) for f in r.failures} == {
-        (str(w), i) for w in exhaustive_lassos(AB, 1, 1) for i in range(w.positions)
+        (str(w), i) for w in exhaustive_lassos(AB, 2, 2) for i in range(w.positions)
     }
     assert {f["reason"] for f in r.failures} == {"dual automaton agrees instead of flipping"}
 
@@ -74,7 +74,7 @@ def test_ltl_sweep_reports_oracle_mismatches_with_their_formula(monkeypatch):
     # an oracle that accepts nowhere differs wherever some state accepts;
     # the formula semantics still agree with the backward outputs
     monkeypatch.setattr(lasso, "waa_accept_table", lambda waa, w: (frozenset(),) * w.positions)
-    r = check_ltl(count=2, u_max=1, v_max=1)
+    r = check_ltl(count=2)
     assert r.failures
     for f in r.failures:
         assert f["reason"] == "output differs from automaton oracle"
@@ -92,9 +92,9 @@ def test_nba_sweep_names_each_position_the_buchi_oracle_misses(monkeypatch):
 
     monkeypatch.setattr(validation, "random_nba", draw)
     monkeypatch.setattr(validation, "nba_accept_table", lambda _, w: (frozenset(),) * w.positions)
-    r = check_nba(seed=13, count=1, total_max=3)
+    r = check_nba(seed=13, count=1)
     (drawn_nba,) = drawn
-    tables = {str(w): nba_accept_table(drawn_nba, w) for w in exhaustive_lassos_total(AB, 3)}
+    tables = {str(w): nba_accept_table(drawn_nba, w) for w in exhaustive_lassos_total(AB, 4)}
     accepting = {(w, i, q) for w, t in tables.items() for i, s in enumerate(t) for q in s}
     assert any(i > 0 for _, i, _ in accepting)
     by_reason = {}
@@ -121,19 +121,19 @@ BUCHI = {"negated top-level formula disagrees with acceptance": True,
 
 
 @pytest.mark.parametrize("sweep, owner, attr, wrong, reasons", [
-    (lambda: check_ltl(count=2, u_max=1, v_max=1), validation, "ltl_truth_vector",
+    (lambda: check_ltl(count=2), validation, "ltl_truth_vector",
      lambda real: lambda phi, w: [not t for t in real(phi, w)], {SEMANTICS: True}),
     (lambda: check_nutl(count=10), nutl, "nutl_eval_lasso",
      lambda real: lambda fs, w: [frozenset()] * w.positions, KLEENE),
-    (lambda: check_nba(count=2, total_max=2), validation, "nba_accept_table",
+    (lambda: check_nba(count=2), validation, "nba_accept_table",
      lambda real: lambda nba, w: (frozenset(),) * w.positions, BUCHI),
     (lambda: check_uniqueness(count=3), validation, "count_final_candidates",
-     lambda real: lambda bda, w, cap: 2, {"2 final candidates": False}),
-    (lambda: check_ltl(count=1, u_max=1, v_max=1), validation, "bda_final_run",
+     lambda real: lambda bda, w: 2, {"2 final candidates": False}),
+    (lambda: check_ltl(count=1), validation, "bda_final_run",
      lambda real: _no_final_run, {"no final run": False}),
     (lambda: check_nutl(count=2), validation, "bda_final_run",
      lambda real: _no_final_run, {"no final run": False}),
-    (lambda: check_nba(count=1, total_max=2), validation, "bda_final_run",
+    (lambda: check_nba(count=1), validation, "bda_final_run",
      lambda real: _no_final_run, {"no final run": False}),
 ], ids=["ltl", "nutl", "nba", "uniqueness", "ltl-no-run", "nutl-no-run", "nba-no-run"])
 def test_sweeps_report_each_failure_with_its_word_reason_and_position(
@@ -157,5 +157,13 @@ def test_small_sweeps_pass():
 
 def test_nutl_sweep_at_its_defaults():
     # the defaults draw greatest fixed points and optimized translations,
-    # which count=5 does not
-    assert check_nutl().ok
+    # which count=5 does not; the case count pins the sweep's sizes
+    r = check_nutl()
+    assert r.ok and r.cases == 1080
+
+
+def test_uniqueness_sweep_at_its_defaults():
+    # up to 4 states: every automaton's product space is enumerated, none
+    # skipped, so every sampled automaton meets every lasso
+    r = check_uniqueness()
+    assert r.ok and r.cases == 720
