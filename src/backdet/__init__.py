@@ -19,7 +19,6 @@ from .automata import (
     dualize,
     is_very_weak,
     is_weak,
-    validate_weak,
 )
 from .construction import INF, BackwardDetAutomaton, TransitionRecord, basic_step
 from .errors import (
@@ -47,11 +46,9 @@ from .lasso import (
     bda_final_run,
     count_final_candidates,
     cross_validate,
-    language_member,
     waa_accept_table,
-    waa_accepts_lasso,
 )
-from .ltl import ltl_eval_lasso, ltl_to_waa, parse_ltl
+from .ltl import ltl_to_waa, parse_ltl
 from .nba import NBA, build_rank_formulas, nba_accepts_lasso, nba_to_bda, peel_ranks
 from .nutl import (
     dual_nutl,
@@ -97,8 +94,6 @@ __all__ = [
     "format_waa",
     "is_very_weak",
     "is_weak",
-    "language_member",
-    "ltl_eval_lasso",
     "ltl_to_waa",
     "nba_accepts_lasso",
     "nba_to_bda",
@@ -112,7 +107,5 @@ __all__ = [
     "parse_nutl",
     "parse_waa",
     "peel_ranks",
-    "validate_weak",
     "waa_accept_table",
-    "waa_accepts_lasso",
 ]

@@ -151,9 +151,6 @@ class WeakAlternatingAutomaton:
         """Index of q's SCC in the topologically sorted SCC list."""
         return self._scc_of[q]
 
-    def is_recurring(self, q: str) -> bool:
-        return q in self.recurring
-
     def __eq__(self, other):
         if not isinstance(other, WeakAlternatingAutomaton):
             return NotImplemented
@@ -184,20 +181,15 @@ def scc_decompose(waa: WeakAlternatingAutomaton) -> list[SccInfo]:
     return out
 
 
-def validate_weak(waa: WeakAlternatingAutomaton) -> list[SccInfo]:
-    """Polarity-mixed SCCs of the automaton; empty list means weak."""
-    return [scc for scc in waa.sccs if scc.recurring is None]
-
-
 def require_weak(waa: WeakAlternatingAutomaton) -> None:
     """SemanticError naming the first polarity-mixed SCC, if there is one."""
-    mixed = validate_weak(waa)
-    if mixed:
-        raise SemanticError(f"automaton is not weak, mixed SCC: {mixed[0].states}")
+    for scc in waa.sccs:
+        if scc.recurring is None:
+            raise SemanticError(f"automaton is not weak, mixed SCC: {scc.states}")
 
 
 def is_weak(waa: WeakAlternatingAutomaton) -> bool:
-    return not validate_weak(waa)
+    return all(scc.recurring is not None for scc in waa.sccs)
 
 
 def is_very_weak(waa: WeakAlternatingAutomaton) -> bool:

@@ -240,7 +240,7 @@ class BackwardDetAutomaton:
     def output(self, family: ValueFamily) -> frozenset:
         """Lambda: finite non-recurring values and infinite recurring ones."""
         waa = self.waa
-        return frozenset(q for q, v in zip(waa.states, family) if accepts(v, waa.is_recurring(q)))
+        return frozenset(q for q, v in zip(waa.states, family) if accepts(v, q in waa.recurring))
 
     def enumerate_state_space(self, cap: int) -> list[ValueFamily]:
         """All well-formed families; refuses if the bound exceeds ``cap``."""

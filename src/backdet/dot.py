@@ -22,7 +22,7 @@ def waa_to_dot(waa: WeakAlternatingAutomaton) -> str:
         lines.append(f'    label="SCC {s} ({polarity})";')
         for q in scc.states:
             attrs = []
-            if waa.is_recurring(q):
+            if q in waa.recurring:
                 attrs.append("shape=doublecircle")
             if waa.initial is not None and q in waa.initial:
                 attrs.append("style=bold")

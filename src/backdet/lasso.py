@@ -24,7 +24,7 @@ from operator import or_
 from . import graph
 from .automata import And, NextState, Or, WeakAlternatingAutomaton, require_weak
 from .construction import INF, BackwardDetAutomaton, TransitionRecord
-from .errors import MultipleFinalRunsError, NoFinalRunError, SemanticError
+from .errors import MultipleFinalRunsError, NoFinalRunError
 
 DEFAULT_ENUMERATION_CAP = 1 << 16
 
@@ -116,14 +116,6 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
                     val[q] = got
                     changed = True
     return tuple(frozenset(q for q, m in val.items() if m >> i & 1) for i in range(w.positions))
-
-
-def waa_accepts_lasso(waa: WeakAlternatingAutomaton, q: str, w: LassoWord, i: int) -> bool:
-    if not 0 <= i < w.positions:
-        raise ValueError(f"position {i} outside quotient range")
-    if q not in waa.states:
-        raise ValueError(f"unknown state {q!r}")
-    return q in waa_accept_table(waa, w)[i]
 
 
 @dataclass(frozen=True)
@@ -321,19 +313,3 @@ def cross_validate(waa: WeakAlternatingAutomaton, w: LassoWord, bda=None, run=No
             report.fail(word=str(w), position=i, reason="output differs from automaton oracle",
                         oracle=sorted(oracle), bda=sorted(got), family=bda.format_family(family))
     return report
-
-
-def language_member(automaton, w: LassoWord) -> bool:
-    """Membership from the declared initial set.
-
-    For a weak alternating automaton: some initial state accepts at
-    position 0.  For a backward deterministic automaton (pass the carrier
-    WAA's initial set via the wrapped automaton): the lambda output at
-    position 0 meets the initial set.
-    """
-    bda = automaton if isinstance(automaton, BackwardDetAutomaton) else None
-    waa = automaton.waa if bda else automaton
-    if waa.initial is None:
-        raise SemanticError("automaton has no initial set")
-    accepting = (bda_final_run(bda, w).outputs(bda) if bda else waa_accept_table(waa, w))[0]
-    return bool(waa.initial & accepting)

@@ -171,15 +171,8 @@ def ltl_to_waa(phi: Node, alphabet: Alphabet) -> WeakAlternatingAutomaton:
     )
 
 
-def ltl_eval_lasso(phi: Node, w: LassoWord, i: int) -> bool:
-    """Direct semantics on the lasso quotient; non-strict F/G/U/R, strict X."""
-    if not 0 <= i < w.positions:
-        raise ValueError(f"position {i} outside quotient range")
-    return ltl_truth_vector(phi, w)[i]
-
-
 def ltl_truth_vector(phi: Node, w: LassoWord) -> list[bool]:
-    """Truth of phi at every quotient position.
+    """Truth of phi at every quotient position; non-strict F/G/U/R, strict X.
 
     Each subformula denotes a position mask (bit i for position i).  F and
     U iterate their one-step unfolding b | (a & next X) up from no

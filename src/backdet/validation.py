@@ -141,7 +141,8 @@ def check_ltl(seed: int = 7, count: int = 200) -> CheckReport:
 
 def check_dual(seed: int = 11, count: int = 100) -> CheckReport:
     """Complementation sweep: acceptance flips under dualization for every
-    state and position of every sampled automaton."""
+    state and position of every sampled automaton; one case per automaton
+    and lasso."""
     rng = random.Random(seed)
     report = CheckReport("dual")
     lassos = list(exhaustive_lassos(AB, 2, 2))
@@ -149,11 +150,11 @@ def check_dual(seed: int = 11, count: int = 100) -> CheckReport:
         waa = random_waa(rng, AB, rng.randint(1, 5))
         dual = dualize(waa)
         for w in lassos:
+            report.cases += 1
             table = waa_accept_table(waa, w)
             dual_table = waa_accept_table(dual, w)
             for i, (accepted, dual_accepted) in enumerate(zip(table, dual_table)):
                 for q in waa.states:
-                    report.cases += 1
                     if (q in accepted) == (q in dual_accepted):
                         report.fail(word=str(w), position=i, state=q,
                                     reason="dual automaton agrees instead of flipping")

@@ -74,7 +74,7 @@ def test_ltl_final_run_families_are_the_subformula_truth_sets():
                 true_here = {q for q in waa.states if truth[q][i]}
                 assert bda.output(family) == true_here, (str(phi), str(w), i)
                 assert family == tuple(
-                    INF if waa.is_recurring(q) == (q in true_here) else 1 for q in waa.states
+                    INF if (q in waa.recurring) == (q in true_here) else 1 for q in waa.states
                 ), (str(phi), str(w), i)
 
 
@@ -137,8 +137,8 @@ def test_criterion_4_complementation():
     result = check_dual(seed=11, count=100)
     report(
         4,
-        result.ok and result.cases == 39130,
-        f"accepted XOR dual-accepted on {result.cases} state/position cases",
+        result.ok and result.cases == 4200,
+        f"accepted XOR dual-accepted on {result.cases} automaton/lasso cases",
     )
 
 

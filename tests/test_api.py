@@ -15,12 +15,10 @@ PUBLIC = [
     "WeakAlternatingAutomaton", "basic_step", "bda_final_run",
     "build_rank_formulas", "count_final_candidates", "cross_validate",
     "dual_nutl", "dualize", "format_bda", "format_condition", "format_nba",
-    "format_waa", "is_very_weak", "is_weak", "language_member",
-    "ltl_eval_lasso", "ltl_to_waa", "nba_accepts_lasso", "nba_to_bda",
-    "nutl_eval_lasso", "nutl_to_waa", "nutl_to_waa_optimized",
+    "format_waa", "is_very_weak", "is_weak", "ltl_to_waa", "nba_accepts_lasso",
+    "nba_to_bda", "nutl_eval_lasso", "nutl_to_waa", "nutl_to_waa_optimized",
     "parse_condition", "parse_lasso", "parse_ltl", "parse_nba", "parse_nutl",
-    "parse_waa", "peel_ranks", "validate_weak", "waa_accept_table",
-    "waa_accepts_lasso",
+    "parse_waa", "peel_ranks", "waa_accept_table",
 ]
 
 
@@ -39,8 +37,19 @@ def test_backward_run_holds_families_and_acceptance_masks():
 
 
 def test_benchmark_bound_attributes():
-    # the benchmark patches these through the owner's __dict__
+    # the benchmark binds these package names at import, so dropping one
+    # from the API fails here and not only in a benchmark run
+    for name in (
+        "parse_lasso", "parse_nba", "parse_ltl", "ltl_to_waa", "parse_nutl",
+        "nutl_to_waa", "nutl_to_waa_optimized", "nutl_eval_lasso",
+        "build_rank_formulas", "nba_to_bda", "peel_ranks", "nba_accepts_lasso",
+        "bda_final_run", "cross_validate", "Alphabet", "BackwardDetAutomaton",
+        "BackdetError", "NoFinalRunError", "MultipleFinalRunsError",
+    ):
+        assert callable(getattr(backdet, name)), name
+    # and reads or patches these through the owner's __dict__
     for owner, attr in (
+        (backdet.BackwardRun, "outputs"),
         (automata, "scc_decompose"),
         (construction.BackwardDetAutomaton, "step"),
         (nutl, "nutl_to_waa_optimized"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
 from backdet.dot import period_graph_to_dot
-from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError, SemanticError
+from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
 from backdet.formats import format_bda, parse_waa
 from backdet.lasso import (
     DEFAULT_ENUMERATION_CAP,
@@ -18,11 +18,9 @@ from backdet.lasso import (
     bda_final_run,
     count_final_candidates,
     cross_validate,
-    language_member,
     waa_accept_table,
-    waa_accepts_lasso,
 )
-from backdet.ltl import ltl_eval_lasso, ltl_to_waa, ltl_truth_vector, parse_ltl, random_ltl
+from backdet.ltl import ltl_to_waa, ltl_truth_vector, parse_ltl, random_ltl
 from backdet.nba import nba_accept_table, nba_to_bda
 from backdet.validation import exhaustive_lassos, random_nba, random_waa
 
@@ -71,27 +69,13 @@ def test_accept_table_eventually():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
     w = LassoWord(("b",), ("a", "b"))
     assert waa_accept_table(waa, w) == ({"q_F_a"}, {"q_F_a", "q_a"}, {"q_F_a"})
-    assert not waa_accepts_lasso(waa, "q_F_a", LassoWord((), ("b",)), 0)
+    assert "q_F_a" not in waa_accept_table(waa, LassoWord((), ("b",)))[0]
 
 
 def test_accept_table_always():
     waa = ltl_to_waa(parse_ltl("G a", AB), AB)
-    assert waa_accepts_lasso(waa, "q_G_a", LassoWord((), ("a",)), 0)
-    assert not waa_accepts_lasso(waa, "q_G_a", LassoWord(("a",), ("b", "a")), 0)
-
-
-def test_accepts_lasso_rejects_unknown_position_and_state():
-    waa = ltl_to_waa(parse_ltl("G a", AB), AB)
-    w = LassoWord((), ("a",))
-    with pytest.raises(ValueError, match="position 1 outside quotient range"):
-        waa_accepts_lasso(waa, "q_G_a", w, 1)
-    with pytest.raises(ValueError, match="unknown state 'q_F_a'"):
-        waa_accepts_lasso(waa, "q_F_a", w, 0)
-    with pytest.raises(ValueError, match="position 1 outside quotient range"):
-        ltl_eval_lasso(parse_ltl("G a", AB), w, 1)
-    without_initial = WeakAlternatingAutomaton(AB, waa.states, waa.delta, waa.recurring)
-    with pytest.raises(SemanticError, match="automaton has no initial set"):
-        language_member(without_initial, w)
+    assert "q_G_a" in waa_accept_table(waa, LassoWord((), ("a",)))[0]
+    assert "q_G_a" not in waa_accept_table(waa, LassoWord(("a",), ("b", "a")))[0]
 
 
 def test_final_run_eventually_frozen_families():
@@ -257,17 +241,6 @@ def test_cross_validate_mismatch_reporting():
         {"word": " ; a b", "position": 1, "oracle": ["q_F_a"], "bda": ["q_F_a", "q_a"],
          "family": "q_F_a=1 q_a=1"},
     ]
-
-
-def test_language_member_waa_and_bda():
-    waa = ltl_to_waa(parse_ltl("F a", AB), AB)
-    bda = BackwardDetAutomaton(waa)
-    w_yes = LassoWord(("b",), ("a",))
-    w_no = LassoWord((), ("b",))
-    assert language_member(waa, w_yes)
-    assert not language_member(waa, w_no)
-    assert language_member(bda, w_yes)
-    assert not language_member(bda, w_no)
 
 
 def test_multiple_final_runs_error_carries_count():

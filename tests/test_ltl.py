@@ -16,7 +16,6 @@ from backdet.ltl import (
     Release,
     Until,
     format_ltl,
-    ltl_eval_lasso,
     ltl_to_waa,
     ltl_truth_vector,
     negate,
@@ -199,10 +198,10 @@ def test_truth_vector_release_and_always():
     w = LassoWord((), ("a", "b"))
     # release never fires (a and b are exclusive letters), so b R a here
     # degenerates to G a
-    assert not ltl_eval_lasso(parse_ltl("b R a", AB), w, 0)
-    assert ltl_eval_lasso(parse_ltl("b R a", AB), LassoWord((), ("a",)), 0)
-    assert not ltl_eval_lasso(parse_ltl("G a", AB), w, 0)
-    assert ltl_eval_lasso(parse_ltl("G (a | b)", AB), w, 1)
+    assert not ltl_truth_vector(parse_ltl("b R a", AB), w)[0]
+    assert ltl_truth_vector(parse_ltl("b R a", AB), LassoWord((), ("a",)))[0]
+    assert not ltl_truth_vector(parse_ltl("G a", AB), w)[0]
+    assert ltl_truth_vector(parse_ltl("G (a | b)", AB), w)[1]
 
 
 def test_translation_agrees_with_semantics():
