@@ -18,7 +18,6 @@ from .automata import (
     WeakAlternatingAutomaton,
     dualize,
     is_very_weak,
-    is_weak,
 )
 from .construction import INF, BackwardDetAutomaton, TransitionRecord, basic_step
 from .errors import (
@@ -93,7 +92,6 @@ __all__ = [
     "format_nba",
     "format_waa",
     "is_very_weak",
-    "is_weak",
     "ltl_to_waa",
     "nba_accepts_lasso",
     "nba_to_bda",

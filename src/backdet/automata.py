@@ -188,10 +188,6 @@ def require_weak(waa: WeakAlternatingAutomaton) -> None:
             raise SemanticError(f"automaton is not weak, mixed SCC: {scc.states}")
 
 
-def is_weak(waa: WeakAlternatingAutomaton) -> bool:
-    return all(scc.recurring is not None for scc in waa.sccs)
-
-
 def is_very_weak(waa: WeakAlternatingAutomaton) -> bool:
     return all(scc.size == 1 for scc in waa.sccs)
 

@@ -10,7 +10,9 @@ states below it, it reads only whether they accept (:func:`accepts`).  So
 the step of one SCC, for one letter and one acceptance pattern below it, is
 a row over the SCC's local values; each row is built whole, both stages at
 once for every local value, when it is first asked for, through the one
-table that every SCC of its size shares (:func:`lifting_table`).
+table that every SCC of its size shares (:func:`lifting_table`).  That
+table also holds each local value's acceptance mask per polarity, which an
+SCC's own table only scatters to the SCC's positions.
 Acceptance is a generalized transition Buchi condition with one set per
 automaton state.
 """
@@ -55,10 +57,12 @@ def lifting_table(size: int) -> tuple:
     fires when no chain sits at level i: the lifting bumps every value at
     level <= i (i <= m) or no finite value reaches level i (i > top; above m
     the lifting moves nothing).  ``polar[recurring]`` holds a true and a
-    false atom's columns and the Or and And combines of that polarity.
+    false atom's columns, the Or and And combines of that polarity, and each
+    code's local acceptance mask (bit j where state j accepts).
     """
     full, inf = (1 << size) - 1, size + 1
     own = list(itertools.product(range(1, size + 2), repeat=size))
+    infs = [sum(1 << j for j, v in enumerate(t) if v == inf) for t in own]
     code = dict(zip(own, itertools.count()))
     lift = []
     for tilde in itertools.product(range(size + 2), repeat=size):
@@ -69,7 +73,7 @@ def lifting_table(size: int) -> tuple:
     values = list(itertools.product([*range(1, inf), INF], repeat=size))
     high, zero = [inf] * len(own), [0] * len(own)
     lub, glb = _pointwise(max, high, zero), _pointwise(min, zero, high)
-    polar = {True: (high, zero, lub, glb), False: (zero, high, glb, lub)}
+    polar = {True: (high, zero, lub, glb, infs), False: (zero, high, glb, lub, [full ^ k for k in infs])}
     return values, dict(zip(values, itertools.count())), list(zip(*own)), lift, polar
 
 
@@ -89,8 +93,9 @@ class TransitionRecord:
 
 class SccTable(NamedTuple):
     """One SCC's states' indices in the family, each value tuple's mask of
-    accepting states, its states' columns by name and its conditions; the
-    other fields are its size's and polarity's, from :func:`lifting_table`."""
+    accepting states (its polarity's local mask scattered to the positions),
+    its states' columns by name and its conditions; the other fields are its
+    size's and polarity's, from :func:`lifting_table`."""
 
     positions: tuple
     values: list
@@ -101,6 +106,7 @@ class SccTable(NamedTuple):
     no: list
     disj: object
     conj: object
+    lift: list
     conditions: list
 
 
@@ -159,14 +165,15 @@ class BackwardDetAutomaton:
         table = self.scc_tables[s]
         if table is None:
             scc = self.waa.sccs[s]
-            values, code, own, _, polar = lifting_table(scc.size)
+            values, code, own, lift, polar = lifting_table(scc.size)
+            *atoms, local = polar[scc.recurring]
             positions = tuple([self.state_pos[q] for q in scc.states])
-            # each tuple's acceptance mask sums the bits of its states' values
-            domain = [*range(1, scc.size + 1), INF]
-            bits = [[1 << p if accepts(v, scc.recurring) else 0 for v in domain] for p in positions]
+            scatter = [0]  # local mask -> state mask: bit j to bit positions[j]
+            for p in positions:
+                scatter += [k | 1 << p for k in scatter]
             table = self.scc_tables[s] = SccTable(
-                positions, values, code, list(map(sum, itertools.product(*bits))), dict(zip(scc.states, own)),
-                *polar[scc.recurring], [self.waa.delta[q] for q in scc.states])
+                positions, values, code, list(map(scatter.__getitem__, local)), dict(zip(scc.states, own)),
+                *atoms, lift, [self.waa.delta[q] for q in scc.states])
         return table
 
     def scc_row(self, s: int, letter: str, outside: int) -> list:
@@ -177,33 +184,36 @@ class BackwardDetAutomaton:
 
         Each state's condition is folded once over the SCC's int-coded value
         columns (:class:`SccTable`, which holds all that does not depend on
-        the key), one entry per code.  An own state is its column; a letter
-        test or an outside state is the shared column ``yes`` when it holds,
-        else ``no``: ``inf`` when its truth equals the state's polarity, else
-        ``zero``, which under max and min absorbs the other side or drops
-        out.  So ``yes`` decides an Or and ``no`` an And, and the fold does
-        not walk the right side of a node whose left side decides it.  Each code's intermediate values, as one int, index
-        the lifting table.  A letter outside the alphabet raises ValueError,
-        so the memo keeps its bound.
+        the key), one entry per code.  An atom is a letter test (told by its
+        type) or a state, which one ``dict.get`` finds among the own states.
+        An own state is its column; a letter test or an outside state is the
+        shared column ``yes`` when it holds, else ``no``: ``inf`` when its
+        truth equals the state's polarity, else ``zero``, which under max and
+        min absorbs the other side or drops out.  So ``yes`` decides an Or
+        and ``no`` an And, and the fold does not walk the right side of a
+        node whose left side decides it.  Each code's intermediate values, as
+        one int, index the table's ``lift``.  A letter outside the alphabet
+        raises ValueError, so the memo keeps its bound.
         """
-        waa, pos = self.waa, self.state_pos
-        if letter not in waa.alphabet:
-            raise ValueError(f"letter {letter!r} not in the alphabet {' '.join(waa.alphabet)}")
+        alphabet, pos = self.waa.alphabet.letters, self.state_pos
+        if letter not in alphabet:
+            raise ValueError(f"letter {letter!r} not in the alphabet {' '.join(alphabet)}")
         table = self.scc_tables[s] or self.scc_table(s)
         own, yes, no, size = table.own, table.yes, table.no, len(table.positions)
         outside &= self.outside_mask[s]
 
         def atom(c):
-            if isinstance(c, LetterSet):
+            if type(c) is LetterSet:
                 return yes if letter in c.letters else no
-            if c.state in own:
-                return own[c.state]
-            return yes if outside >> pos[c.state] & 1 else no
+            column = own.get(c.state)
+            if column is None:
+                return yes if outside >> pos[c.state] & 1 else no
+            return column
 
         keys, *rest = [fold(c, atom, table.disj, table.conj, yes, no) for c in table.conditions]
         for column in rest:
             keys = [k * (size + 2) + v for k, v in zip(keys, column)]
-        row = self.scc_memo[s][(letter, outside)] = list(map(lifting_table(size)[3].__getitem__, keys))
+        row = self.scc_memo[s][(letter, outside)] = list(map(table.lift.__getitem__, keys))
         return row
 
     def step(self, letter: str, family: ValueFamily) -> TransitionRecord:

@@ -136,7 +136,15 @@ class BackwardRun:
         return bda.step(self.word.letter(i), self.families[self.word.succ(i)])
 
     def outputs(self, bda: BackwardDetAutomaton) -> tuple:
-        decoded = {m: frozenset(q for q, p in bda.state_pos.items() if m >> p & 1) for m in set(self.accepting)}
+        """Each distinct mask decoded once, by its set bits (bit p is the
+        state ``bda.waa.states[p]``)."""
+        states, decoded = bda.waa.states, {}
+        for mask in set(self.accepting):
+            got, m = [], mask
+            while m:
+                got.append(states[(m & -m).bit_length() - 1])
+                m &= m - 1
+            decoded[mask] = frozenset(got)
         return tuple(map(decoded.__getitem__, self.accepting))
 
 
@@ -148,14 +156,8 @@ def _final_candidates(starts, period, need):
     as a set or as a bit mask like ``need``.  Returns the starts on the
     h-cycles that fire every index in ``need`` (each rotation of a final
     cycle is a distinct candidate run), the image of every start, and the
-    h-cycles.  Every image lies among the starts, so a single start is its
-    own image and h's only cycle: it is final iff one period from it fires
-    every index in ``need``, and no cycle search runs.
+    h-cycles.  Every image must lie among the starts.
     """
-    if len(starts) == 1:
-        (start,) = starts
-        image, fired = period(start)
-        return [start] if need & fired == need else [], {start: image}, [[start]]
     image, fired = {}, {}
     for start in starts:
         image[start], fired[start] = period(start)
@@ -175,20 +177,22 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     infinite backward run pins the boundary values to an infinite chain of
     h-preimages, which on a finite function graph only exists along cycles
     of h; they lie in the image of h, inside the image of the row h applies
-    last, so the search starts from that image (:func:`_final_candidates`);
-    an image of one code is h's only cycle and needs no search.
+    last, so the search starts from that image (:func:`_final_candidates`).
     A cycle of length k yields k candidates (one per rotation); a candidate
     is final iff every Buchi index of s in ``bda.buchi_indices`` fires
     within the cycle.  Exactly one candidate per SCC may pass: none raises
     :class:`NoFinalRunError`, more than one :class:`MultipleFinalRunsError`
     (its candidates in local-code order), both naming the word and the SCC.
 
-    SCC s fetches its n step rows once from ``bda.scc_memo[s]`` (one per
-    letter if it reads no outside state); a missing row is built whole, all
-    (m+1)^m entries (:meth:`BackwardDetAutomaton.scc_row`), and kept.  Its
-    settle pass adds to one acceptance mask per position
-    (``BackwardRun.accepting``) and records its value tuples in one column;
-    the families are assembled once, at the end, from the columns.
+    SCC s fetches its n step rows once from ``bda.scc_memo[s]``; a missing
+    row is built whole, all (m+1)^m entries
+    (:meth:`BackwardDetAutomaton.scc_row`), and kept.  Its settle pass walks
+    the n rows back from the boundary value, adds to one acceptance mask per
+    position (``BackwardRun.accepting``) and records its value tuples in one
+    column; the families are assembled once, at the end, from the columns.
+    An image of one code is h's only cycle, the single candidate, so it
+    needs no search: the settle pass starts from it and ORs the bits fired
+    at the loop positions, one period, which must cover the SCC's indices.
     ``BackwardRun.record`` rebuilds fired sets and critical values.  A period
     is then |v| list indexings, and the search a sum over SCCs of at most
     (m+1)^m * |v| indexings, not a product;
@@ -214,19 +218,13 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     for s, scc in enumerate(waa.sccs):
         table, memo, mask = bda.scc_tables[s] or bda.scc_table(s), bda.scc_memo[s], bda.outside_mask[s]
         # the row of the step into each position
-        if mask:
-            steps = [memo.get(k) or bda.scc_row(s, *k) for k in zip(letters, [accepting[j] & mask for j in succ])]
-        else:
-            rows = {a: memo.get((a, 0)) or bda.scc_row(s, a, 0) for a in set(letters)}
-            steps = [rows[a] for a in letters]
-        period_steps = steps[loop:][::-1]
-        finals, _, cycles = _final_candidates(sorted({e[0] for e in steps[loop]}), period, need[s])
-        if not finals:
-            raise NoFinalRunError(
-                f"no final run on {w}: SCC {s} has no final candidate "
-                f"({len(cycles)} h-cycles checked)",
-                word=w, scc=s,
-            )
+        outside = [accepting[j] & mask for j in succ] if mask else [0] * n
+        steps = [memo.get(k) or bda.scc_row(s, *k) for k in zip(letters, outside)]
+        finals, checked = {e[0] for e in steps[loop]}, 1  # one image code is h's only cycle
+        if len(finals) > 1:
+            period_steps = steps[loop:][::-1]
+            finals, _, cycles = _final_candidates(sorted(finals), period, need[s])
+            checked = len(cycles)
         if len(finals) > 1:
             candidates = tuple(table.values[code] for code in sorted(finals))
             detail = ", ".join(
@@ -237,11 +235,20 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
                 f"{len(finals)} final runs on {w} in SCC {s}: {detail}",
                 len(finals), word=w, scc=s, candidates=candidates,
             )
-        code, column, values, own_accepting = finals[0], [None] * n, table.values, table.accepting
-        for i in range(n - 1, -1, -1):
-            code = steps[i][code][0]
-            accepting[i] |= own_accepting[code]
-            column[i] = values[code]
+        column, values, own_accepting, fired = [None] * n, table.values, table.accepting, 0
+        for code in finals:  # h's only cycle, the one final candidate, or none
+            for i in range(n - 1, -1, -1):
+                code, bits, _ = steps[i][code]
+                if i >= loop:
+                    fired |= bits
+                accepting[i] |= own_accepting[code]
+                column[i] = values[code]
+        if need[s] & fired != need[s]:
+            raise NoFinalRunError(
+                f"no final run on {w}: SCC {s} has no final candidate "
+                f"({checked} h-cycles checked)",
+                word=w, scc=s,
+            )
         for p, state_column in zip(table.positions, zip(*column)):
             by_state[p] = state_column
     return BackwardRun(w, tuple(zip(*by_state)) or ((),) * n, tuple(accepting))

@@ -45,17 +45,23 @@ AB = Alphabet(("a", "b"))
 
 def exhaustive_lassos(alphabet: Alphabet, u_max: int, v_max: int):
     """All lassos with |u| <= u_max and 1 <= |v| <= v_max."""
-    letters = list(alphabet)
-    for ulen in range(u_max + 1):
-        for u in itertools.product(letters, repeat=ulen):
-            for vlen in range(1, v_max + 1):
-                for v in itertools.product(letters, repeat=vlen):
-                    yield LassoWord(u, v)
+    return _lassos(alphabet, u_max, v_max, u_max + v_max)
 
 
 def exhaustive_lassos_total(alphabet: Alphabet, total_max: int):
     """All lassos with |u| + |v| <= total_max, in :func:`exhaustive_lassos` order."""
-    return (w for w in exhaustive_lassos(alphabet, total_max - 1, total_max) if w.positions <= total_max)
+    return _lassos(alphabet, total_max - 1, total_max, total_max)
+
+
+def _lassos(alphabet, u_max, v_max, total_max):
+    # |v| is bounded by v_max and by total_max - |u|, so no lasso is built
+    # only to be dropped
+    letters = list(alphabet)
+    for ulen in range(u_max + 1):
+        for u in itertools.product(letters, repeat=ulen):
+            for vlen in range(1, min(v_max, total_max - ulen) + 1):
+                for v in itertools.product(letters, repeat=vlen):
+                    yield LassoWord(u, v)
 
 
 def random_condition(rng, alphabet, states, depth):

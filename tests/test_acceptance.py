@@ -6,8 +6,6 @@ asserts the criterion at its stated tolerance (all criteria are exact).
 
 import random
 
-import pytest
-
 from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton, is_very_weak
 from backdet.construction import INF, BackwardDetAutomaton, basic_step
 from backdet.formats import parse_lasso
@@ -20,7 +18,6 @@ from backdet.lasso import (
 from backdet.ltl import _state_names, ltl_to_waa, ltl_truth_vector, random_ltl
 from backdet.nba import nba_accept_table, nba_to_bda
 from backdet.node import subterms
-from backdet.nutl import nutl_eval_lasso
 from backdet.validation import (
     check_dual,
     check_ltl,

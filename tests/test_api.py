@@ -1,7 +1,10 @@
 """The names other code binds: the package's public API, and the module
-attributes that perfbench/run.py reads or patches.  A rename fails here."""
+attributes that perfbench/run.py reads or patches.  A rename fails here, and
+so does a name that a module imports and never reads."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import backdet
 from backdet import automata, construction, lasso, ltl, nba, nutl
@@ -15,7 +18,7 @@ PUBLIC = [
     "WeakAlternatingAutomaton", "basic_step", "bda_final_run",
     "build_rank_formulas", "count_final_candidates", "cross_validate",
     "dual_nutl", "dualize", "format_bda", "format_condition", "format_nba",
-    "format_waa", "is_very_weak", "is_weak", "ltl_to_waa", "nba_accepts_lasso",
+    "format_waa", "is_very_weak", "ltl_to_waa", "nba_accepts_lasso",
     "nba_to_bda", "nutl_eval_lasso", "nutl_to_waa", "nutl_to_waa_optimized",
     "parse_condition", "parse_lasso", "parse_ltl", "parse_nba", "parse_nutl",
     "parse_waa", "peel_ranks", "waa_accept_table",
@@ -82,3 +85,25 @@ def test_patched_module_globals_are_called(monkeypatch):
     assert calls == ["scc_decompose"]
     nba.nba_to_bda(nba.NBA(Alphabet(("a",)), ["q"], ["q"], [("q", "a", "q")], ["q"]))
     assert "nutl_to_waa_optimized" in calls
+
+
+def test_every_imported_name_is_read():
+    # each name an import binds in src/backdet and tests/ is read somewhere
+    # in its module, or listed in its __all__; __future__ imports bind none
+    root = Path(__file__).resolve().parent.parent
+    unread = []
+    for path in sorted([*(root / "src" / "backdet").glob("*.py"), *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {
+            elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+        unread += [f"{path.relative_to(root)}:{line} {name}" for name, line in bound.items()
+                   if name not in read | exported]
+    assert not unread, unread

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
-from backdet.construction import INF, BackwardDetAutomaton, basic_step, lifting_table
+from backdet.construction import INF, BackwardDetAutomaton, accepts, basic_step, lifting_table
 from backdet.errors import SemanticError, StateSpaceCapError
 from backdet.lasso import LassoWord, bda_final_run
 from backdet.nba import nba_to_bda
@@ -131,7 +131,8 @@ def test_lifting_table_matches_the_definition():
     # local code of the lifted values, the fired bits and the critical
     # value; column j holds state j's coded value at each local code; a
     # recurring SCC's true atom is the all-inf column and its Or is max, a
-    # non-recurring SCC's the all-0 column and min
+    # non-recurring SCC's the all-0 column and min; each polarity's local
+    # masks set bit j where state j accepts under the lambda rule
     for size in range(1, 5):
         values, code, columns, lift, polar = lifting_table(size)
         assert lifting_table(size) is lifting_table(size)
@@ -146,8 +147,9 @@ def test_lifting_table_matches_the_definition():
         assert columns == [tuple(coded[v] for v in column) for column in zip(*values)]
         high, zero = [size + 1] * len(values), [0] * len(values)
         a, b = list(columns[0]), list(columns[-1])[::-1]
-        for recurring, (yes, no, disj, conj) in polar.items():
+        for recurring, (yes, no, disj, conj, local) in polar.items():
             assert (yes, no) == ((high, zero) if recurring else (zero, high))
+            assert local == [sum(1 << j for j, v in enumerate(own) if accepts(v, recurring)) for own in values]
             assert disj(a, b) == list(map(max if recurring else min, a, b))
             assert conj(a, b) == list(map(min if recurring else max, a, b))
             assert disj(a, yes) is yes and conj(a, no) is no
@@ -155,9 +157,11 @@ def test_lifting_table_matches_the_definition():
 
 
 def test_sccs_of_one_size_share_one_value_table():
-    # the value tuples, their codes and the own columns depend on the SCC
-    # size alone, so every SCC of one size, in any automaton, holds the same
-    # objects; only positions, acceptance masks and conditions are its own
+    # the value tuples, their codes, the own columns and the lifting depend
+    # on the SCC size alone, so every SCC of one size, in any automaton,
+    # holds the same objects; only positions, acceptance masks and
+    # conditions are its own, and each acceptance mask is its polarity's
+    # local mask with bit j moved to the j-th state's position
     rng = random.Random(11)
     by_size = {}
     for _ in range(40):
@@ -166,12 +170,15 @@ def test_sccs_of_one_size_share_one_value_table():
             by_size.setdefault(scc.size, []).append((bda, bda.scc_table(s), scc))
     shared = 0
     for size, tables in by_size.items():
-        values, code, columns, _, polar = lifting_table(size)
+        values, code, columns, lift, polar = lifting_table(size)
         for bda, table, scc in tables:
-            assert table.values is values and table.code is code
+            assert table.values is values and table.code is code and table.lift is lift
             assert all(table.own[q] is column for q, column in zip(scc.states, columns))
-            assert (table.yes, table.no, table.disj, table.conj) == polar[scc.recurring]
+            *atoms, local = polar[scc.recurring]
+            assert [table.yes, table.no, table.disj, table.conj] == atoms
             assert table.positions == tuple(bda.state_pos[q] for q in scc.states)
+            assert table.accepting == [
+                sum(1 << p for j, p in enumerate(table.positions) if k >> j & 1) for k in local]
         shared += size > 1 and len({id(bda) for bda, _, _ in tables}) > 1
     assert shared >= 2
 

@@ -13,7 +13,6 @@ from backdet.formats import (
     parse_nba,
     parse_waa,
 )
-from backdet.nba import NBA
 from backdet.nutl import Var
 
 AB = Alphabet(("a", "b"))

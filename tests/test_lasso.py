@@ -168,6 +168,30 @@ def test_no_final_run_error_mentions_word():
     assert str(w) in str(err.value)
 
 
+def test_a_single_image_is_final_on_its_period_bits_alone():
+    # SCC 1's rows doctored: the loop row (letter b) sends every code to
+    # code 2 and fires no index, so code 2 is h's only cycle and one period
+    # fires nothing; the prefix row (letter a) fires every index, which does
+    # not count, since the prefix lies outside the cycle
+    delta = {"r": LetterSet({"a"}), "p": Or(NextState("q"), NextState("r")), "q": NextState("p")}
+    bda = BackwardDetAutomaton(WeakAlternatingAutomaton(AB, ["p", "q", "r"], delta, []))
+    s = bda.waa.scc_of("p")
+    assert s == 1 and bda.waa.sccs[s].states == ("p", "q") and bda.outside_mask[s]
+    size = len(bda.scc_table(s).values)
+    w = LassoWord(("a",), ("b",))
+    for period_bits in (0, 0b11):
+        for outside in (0, bda.outside_mask[s]):
+            bda.scc_memo[s][("a", outside)] = [(2, 0b11, 0)] * size
+            bda.scc_memo[s][("b", outside)] = [(2, period_bits, 0)] * size
+        if not period_bits:
+            with pytest.raises(NoFinalRunError) as err:
+                bda_final_run(bda, w)
+            assert (err.value.word, err.value.scc) == (w, s)
+            assert str(err.value) == f"no final run on {w}: SCC {s} has no final candidate (1 h-cycles checked)"
+        else:
+            assert [family[:2] for family in bda_final_run(bda, w).families] == [(1, INF)] * 2
+
+
 def test_multiple_final_runs_error_names_word_and_scc():
     # without the Buchi indices of q_G_F_a's SCC, which reads q_F_a's SCC
     # below it, both of its constant runs on a^omega (1 and inf) are final

@@ -1,7 +1,7 @@
 import pytest
 
 from backdet import lasso, nutl, validation
-from backdet.automata import Alphabet, is_weak
+from backdet.automata import Alphabet, require_weak
 from backdet.errors import NoFinalRunError
 from backdet.lasso import LassoWord
 from backdet.nba import nba_accept_table
@@ -36,13 +36,17 @@ def test_exhaustive_lassos_total_counts():
         assert 1 <= len(w.prefix) + len(w.period) <= 3
     # totals 1..3: 2 + (4+4) + (8+8+8) = 34
     assert len(words) == 34
+    # the lassos of exhaustive_lassos that fit the total, in its order
+    for total in range(1, 6):
+        kept = [w for w in exhaustive_lassos(AB, total - 1, total) if w.positions <= total]
+        assert list(exhaustive_lassos_total(AB, total)) == kept
 
 
 def test_random_waa_is_weak():
     rng = random.Random(0)
     for _ in range(20):
         waa = random_waa(rng, AB, rng.randint(1, 5))
-        assert is_weak(waa)
+        require_weak(waa)
         assert waa.initial is not None
 
 
