@@ -81,9 +81,10 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
     Each state holds a position mask.  The SCCs are evaluated in topological
     order (successors first): a non-recurring SCC's masks start empty and
     rise to the least fixed point, a recurring SCC's start full and fall to
-    the greatest.  A condition reads letters at the current position and
-    states at the successor position (``w.pre``); the states of lower SCCs
-    are settled by then.  The masks become per-position sets at the end.
+    the greatest, updated in place.  A condition reads letters at the
+    current position and states at the successor position (``w.pre``), and
+    lower SCCs are settled by then: one evaluation settles a lone state that
+    reads none of its own.  The masks become per-position sets at the end.
     """
     full, pre = w.full, w.pre
     val = {}
@@ -106,6 +107,10 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
 
     require_weak(waa)
     for scc in waa.sccs:
+        q = scc.states[0]
+        if len(scc.states) == 1 and q not in waa.delta[q].free:
+            val[q] = ev(waa.delta[q])
+            continue
         val.update(dict.fromkeys(scc.states, full if scc.recurring else 0))
         changed = True
         while changed:

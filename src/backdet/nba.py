@@ -8,12 +8,14 @@ often.  The rank predicates are definable by vectorial fixed-point
 formulas, whose negations feed the weak-alternating-to-backward pipeline.
 
 The oracle :func:`nba_accept_table` answers one frozenset of accepting
-states per quotient position, as ``BackwardRun.outputs`` does.
+states per quotient position, as ``BackwardRun.outputs`` does, from one SCC
+search; :func:`peel_ranks` peels on vertex bit masks, checked by that search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .automata import Alphabet
 from .construction import INF, BackwardDetAutomaton
@@ -72,19 +74,11 @@ def _quotient_graph(nba: NBA, w: LassoWord):
     return succ
 
 
-def _restrict(succ, alive):
-    """The subgraph on the vertex set ``alive``."""
-    return {v: [u for u in succ[v] if u in alive] for v in alive}
-
-
-def _reaches_cycle(vertices, succ, buchi=None):
-    """Vertices with a path to a cycle, or with ``buchi`` given, to a cycle
-    through a vertex whose state is in ``buchi``."""
+def _reaches_cycle(vertices, succ, buchi):
+    """Vertices with a path to a cycle through a vertex of a ``buchi`` state."""
     on_cycles = set()
     for comp in graph.sccs(vertices, succ):
-        if graph.is_cyclic(comp, succ) and (
-            buchi is None or any(state in buchi for (_, state) in comp)
-        ):
+        if graph.is_cyclic(comp, succ) and any(state in buchi for (_, state) in comp):
             on_cycles.update(comp)
     return graph.reaches(vertices, succ, on_cycles)
 
@@ -121,36 +115,39 @@ class QuotientRunDag:
 
 def peel_ranks(nba: NBA, w: LassoWord) -> QuotientRunDag:
     """Alternately strip finitary and Buchi-free vertices, ranking them
-    2i and 2i+1 per round; what survives is Buchi-recurring (rank INF)."""
+    2i and 2i+1 per round; what survives is Buchi-recurring (rank INF).
+    On vertex bit masks, a round's finitary vertices lie outside the
+    greatest live set whose vertices all have a successor in it, and its
+    Buchi-free ones outside the least set that holds the live Buchi
+    vertices and every live vertex with an edge into it.  An SCC search
+    of the whole DAG checks the residue."""
     succ = _quotient_graph(nba, w)
+    vertices = list(succ)
+    index = {v: b for b, v in enumerate(vertices)}
+    out = [sum(1 << index[u] for u in succ[v]) for v in vertices]  # successor masks
+    buchi = sum(1 << b for b, (_, q) in enumerate(vertices) if q in nba.buchi)
 
-    def finitary_in(alive):
-        return alive - _reaches_cycle(alive, _restrict(succ, alive))
+    def pre(s):  # the vertices with a successor in s
+        return sum(1 << b for b, o in enumerate(out) if o & s)
 
-    def b_free_in(alive):
-        tagged = {v for v in alive if v[1] in nba.buchi}
-        return alive - graph.reaches(alive, _restrict(succ, alive), tagged)
-
-    ranks = {}
-    alive = set(succ)
-    rounds = 0
+    ranks = dict.fromkeys(vertices, INF)
+    alive, rounds = (1 << len(vertices)) - 1, 0
     while alive:
-        fin = finitary_in(alive)
-        for v in fin:
-            ranks[v] = 2 * rounds
-        alive -= fin
-        free = b_free_in(alive)
-        for v in free:
-            ranks[v] = 2 * rounds + 1
-        alive -= free
-        if not fin and not free:
+        start = alive
+        while (nxt := alive & pre(alive)) != alive:
+            alive = nxt
+        reach = alive & buchi
+        while (nxt := alive & (reach | pre(reach))) != reach:
+            reach = nxt
+        if reach == start:
             break
-        rounds += 1
-    for v in alive:
-        ranks[v] = INF
+        for b, v in enumerate(vertices):
+            if (start & ~reach) >> b & 1:
+                ranks[v] = 2 * rounds + (alive >> b & 1)  # odd: Buchi-free
+        alive, rounds = reach, rounds + 1
     assert rounds <= len(nba.states), "peeling must terminate within n rounds"
-    recurring = _reaches_cycle(list(succ), succ, nba.buchi)
-    assert alive == recurring, "peeling residue must be the Buchi-recurring vertices"
+    residue = {v for v, r in ranks.items() if r == INF}
+    assert residue == _reaches_cycle(vertices, succ, nba.buchi), "peeling residue must be the Buchi-recurring vertices"
     return QuotientRunDag(ranks)
 
 
@@ -200,10 +197,7 @@ def build_rank_formulas(nba: NBA) -> RankFormulaTable:
                     conj = atom if conj is None else nutl.And(conj, atom)
             term = Letter(a) if conj is None else nutl.And(Letter(a), conj)
             terms.append(term)
-        out = terms[0]
-        for t in terms[1:]:
-            out = nutl.Or(out, t)
-        return out
+        return reduce(nutl.Or, terms)
 
     chi = []
     for i in range(2 * n):

@@ -32,9 +32,9 @@ cycles through variables of both a least and a greatest fixed point.
 :func:`nutl_eval_lasso` is the Kleene semantics on a lasso: a formula
 denotes a position mask of the lasso quotient (:class:`LassoWord`).  Each
 closed subformula, and each closed system that fix nodes share, is solved
-once per call, as in the alternation-free model checking of Emerson and Lei
-(LICS 1986).  Whether a subformula is closed is read from the node, which
-holds its free variables (``free``).
+once per call, its bodies updated in place, as in the alternation-free
+model checking of Emerson and Lei (LICS 1986).  Whether a subformula is
+closed is read from the node, which holds its free variables (``free``).
 """
 
 from __future__ import annotations
@@ -440,28 +440,34 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
 
     Kleene iteration over position masks (bit i for position i): a fix
     node iterates its body vector from no position (mu) or every position
-    (nu).  Each closed subformula is evaluated once per call, and each
-    closed system (fix nodes alike but for ``index``) is solved once per
-    call, for all its components.
+    (nu) in place, each body reading the values its system's earlier bodies
+    got in the same round (Gauss-Seidel; the bodies are monotone, so the
+    fixed point is the same).  One environment serves the call; a system
+    restores any outer binding of its names when it is solved.  ``&`` stops
+    at no position and ``|`` at every position.  Each closed subformula is
+    evaluated once per call, and each closed system (fix nodes alike but
+    for ``index``) is solved once per call, for all its components.
     """
     roots = list(phi_tuple)
     _require_closed(roots)
     full, pre = w.full, w.pre
-    closed, systems = {}, {}
+    closed, systems, env = {}, {}, {}
 
-    def ev(f, env):
+    def ev(f):
         got = closed.get(f)
         if got is not None:
             return got
         t = type(f)
         if t is And:
-            got = ev(f.left, env) & ev(f.right, env)
+            got = ev(f.left)
+            got = got and got & ev(f.right)
         elif t is Or:
-            got = ev(f.left, env) | ev(f.right, env)
+            got = ev(f.left)
+            got = got if got == full else got | ev(f.right)
         elif t is Var:
             return env[f.name]
         elif t is Next:
-            got = pre(ev(f.operand, env))
+            got = pre(ev(f.operand))
         elif t is Letter:
             got = w.mask(f.name)
         elif t is NegLetter:
@@ -469,25 +475,35 @@ def nutl_eval_lasso(phi_tuple, w: LassoWord) -> list[frozenset]:
         elif t is Fix:
             # one key means one set of free names: a hit is a closed system
             key = (f.kind, f.vars, f.bodies)
-            cur = systems.get(key)
-            if cur is None:
-                cur = dict.fromkeys(f.vars, 0 if f.kind == MU else full)
+            values = systems.get(key)
+            if values is None:
+                outer = [env.get(name) for name in f.vars]
+                env.update(dict.fromkeys(f.vars, 0 if f.kind == MU else full))
                 for _ in range(w.positions * len(f.vars) + 2):
-                    inner = {**env, **cur}
-                    nxt = {name: ev(body, inner) for name, body in zip(f.vars, f.bodies)}
-                    if nxt == cur:
+                    changed = False
+                    for name, body in zip(f.vars, f.bodies):
+                        got = ev(body)
+                        if got != env[name]:
+                            env[name], changed = got, True
+                    if not changed:
                         break
-                    cur = nxt
                 else:
                     raise AssertionError("fixed-point iteration failed to converge")
+                values = [env[name] for name in f.vars]
+                env.update(zip(f.vars, outer))
                 if not f.free:
-                    systems[key] = cur
-            got = cur[f.vars[f.index]]
+                    systems[key] = values
+            got = values[f.index]
         else:
             raise TypeError(f"not a nutl formula: {f!r}")
         if not f.free:
             closed[f] = got
         return got
 
-    truths = [ev(f, {}) for f in roots]
-    return [frozenset(j for j, m in enumerate(truths) if m >> i & 1) for i in range(w.positions)]
+    truths = [[] for _ in range(w.positions)]
+    for j, f in enumerate(roots):
+        m = ev(f)
+        while m:
+            truths[(m & -m).bit_length() - 1].append(j)
+            m &= m - 1
+    return list(map(frozenset, truths))

@@ -72,6 +72,49 @@ def test_accept_table_eventually():
     assert "q_F_a" not in waa_accept_table(waa, LassoWord((), ("b",)))[0]
 
 
+def accept_table_confirming_every_scc(waa, w):
+    """The automaton oracle with a confirming pass for every SCC: an SCC is
+    settled only by a pass over it in which no mask changes."""
+    full, pre = w.full, w.pre
+    val = {}
+
+    def ev(cond):
+        t = type(cond)
+        if t is NextState:
+            return pre(val[cond.state])
+        if t is And:
+            return ev(cond.left) & ev(cond.right)
+        if t is Or:
+            return ev(cond.left) | ev(cond.right)
+        return sum(w.mask(a) for a in cond.letters)
+
+    for scc in waa.sccs:
+        val.update(dict.fromkeys(scc.states, full if scc.recurring else 0))
+        changed = True
+        while changed:
+            changed = False
+            for q in scc.states:
+                got = ev(waa.delta[q])
+                if got != val[q]:
+                    val[q] = got
+                    changed = True
+    return tuple(frozenset(q for q, m in val.items() if m >> i & 1) for i in range(w.positions))
+
+
+def test_accept_table_matches_confirming_every_scc():
+    # random weak automata and LTL automata, whose lone states read
+    # themselves or not, on every lasso |u| <= 2, |v| <= 3
+    rng = random.Random(4)
+    lassos = list(exhaustive_lassos(AB, 2, 3))
+    automata = [random_waa(rng, AB, rng.randint(1, 5)) for _ in range(40)]
+    automata += [ltl_to_waa(random_ltl(rng, AB, 8), AB) for _ in range(40)]
+    lone = {scc.states[0] in waa.delta[scc.states[0]].free for waa in automata for scc in waa.sccs if scc.size == 1}
+    assert lone == {True, False}
+    for waa in automata:
+        for w in lassos:
+            assert waa_accept_table(waa, w) == accept_table_confirming_every_scc(waa, w), str(w)
+
+
 def test_accept_table_always():
     waa = ltl_to_waa(parse_ltl("G a", AB), AB)
     assert "q_G_a" in waa_accept_table(waa, LassoWord((), ("a",)))[0]
@@ -234,11 +277,12 @@ def test_multiple_final_runs_are_listed_in_code_order():
     assert count_final_candidates(bda, w) == 25
 
 
-def test_final_candidates_answer_a_single_start_directly():
+def test_final_candidates_find_the_cycle_of_a_single_start():
     # every image of h lies among the starts, so a single start is its own
-    # image and h's only cycle: it is final iff one period from it fires
-    # every needed index; fired values come as int masks (the SCC-by-SCC
-    # run) or as sets of Buchi indices (the product-space reference)
+    # image, and the cycle search finds it as h's only cycle: it is final
+    # iff one period from it fires every needed index; fired values come as
+    # int masks (the SCC-by-SCC run) or as sets of Buchi indices (the
+    # product-space reference)
     masks = (0b101, 0b111, 0b011)
     sets = (frozenset({(0, 1), (1, 1)}), frozenset({(0, 1), (0, 2), (1, 1)}), frozenset({(0, 1), (0, 2)}))
     for need, fires, misses in (masks, sets):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from backdet import graph
 from backdet.automata import Alphabet
 from backdet.construction import INF
 from backdet.errors import SemanticError
 from backdet.lasso import LassoWord, bda_final_run
 from backdet.nba import (
     NBA,
+    _quotient_graph,
     build_rank_formulas,
     nba_accept_table,
     nba_accepts_lasso,
@@ -88,6 +90,60 @@ def test_accept_table_is_the_rank_inf_vertices_and_the_per_state_oracle():
                     assert accepted == {q for q in nba.states if ranks[(i, q)] == INF}, (str(w), i)
                     for q in nba.states:
                         assert nba_accepts_lasso(nba, w, q, i) == (q in accepted), (str(w), i, q)
+
+
+def peel_ranks_on_graphs(nba, w):
+    """The ranks by peeling the run DAG as a graph: each round restricts the
+    successor lists to the live vertices and runs an SCC search on them."""
+    succ = _quotient_graph(nba, w)
+
+    def restrict(alive):
+        return {v: [u for u in succ[v] if u in alive] for v in alive}
+
+    def finitary_in(alive):
+        sub = restrict(alive)
+        cyclic = [v for comp in graph.sccs(alive, sub) if graph.is_cyclic(comp, sub) for v in comp]
+        return alive - graph.reaches(alive, sub, cyclic)
+
+    def b_free_in(alive):
+        return alive - graph.reaches(alive, restrict(alive), {v for v in alive if v[1] in nba.buchi})
+
+    ranks, alive, rounds = {}, set(succ), 0
+    while alive:
+        fin = finitary_in(alive)
+        alive -= fin
+        free = b_free_in(alive)
+        alive -= free
+        ranks.update(dict.fromkeys(fin, 2 * rounds) | dict.fromkeys(free, 2 * rounds + 1))
+        if not fin and not free:
+            break
+        rounds += 1
+    return ranks | dict.fromkeys(alive, INF)
+
+
+def ladder_nba(rng, n):
+    """Edges lead only to the same or a lower state, and no Buchi state
+    loops on itself, so Buchi-free and finitary layers alternate and the
+    ranks climb."""
+    states = [f"q{i}" for i in range(n)]
+    buchi = [q for q in states if rng.random() < 0.5]
+    transitions = [(q, a, q2) for i, q in enumerate(states) for a in AB for q2 in states[:i + 1]
+                   if (q2 != q or q not in buchi) and rng.random() < 0.7]
+    return NBA(AB, states, [states[-1]], transitions, buchi)
+
+
+def test_peeling_on_bit_masks_matches_peeling_on_graphs():
+    # random and ladder NBAs of 1 to 4 states, on every lasso |u| + |v| <= 4
+    rng = random.Random(8)
+    lassos = list(exhaustive_lassos_total(AB, 4))
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for nba in [random_nba(rng, AB, n) for _ in range(4)] + [ladder_nba(rng, n) for _ in range(8)]:
+            for w in lassos:
+                ranks = peel_ranks(nba, w).ranks
+                assert ranks == peel_ranks_on_graphs(nba, w), (n, str(w))
+                seen.update(ranks.values())
+    assert seen == {0, 1, 2, 3, INF}, seen
 
 
 def test_peel_ranks_loop():

@@ -6,11 +6,14 @@ from backdet.automata import Alphabet, require_weak
 from backdet.construction import BackwardDetAutomaton
 from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, bda_final_run, waa_accept_table
+from backdet.nba import build_rank_formulas
 from backdet.nutl import (
+    And,
     Fix,
     Letter,
     MU,
     NU,
+    NegLetter,
     Next,
     Or,
     Var,
@@ -24,7 +27,7 @@ from backdet.nutl import (
     parse_nutl,
 )
 from backdet.node import subterms
-from backdet.validation import exhaustive_lassos, random_nutl
+from backdet.validation import exhaustive_lassos, exhaustive_lassos_total, random_nba, random_nutl
 
 AB = Alphabet(("a", "b"))
 
@@ -214,6 +217,71 @@ def test_eval_inner_fixed_point_reading_the_outer_variable():
         truth = nutl_eval_lasso([phi], w)
         for i, accepted in enumerate(waa_accept_table(waa, w)):
             assert (inits[0] in accepted) == (0 in truth[i]), (str(w), i)
+
+
+def eval_in_whole_rounds(phi_tuple, w):
+    """The Kleene semantics with Jacobi rounds: every body of a system reads
+    the values of the round before, from an environment built for each
+    round; closed subformulas and closed systems are kept for the call."""
+    full, pre = w.full, w.pre
+    closed, systems = {}, {}
+
+    def ev(f, env):
+        if f in closed:
+            return closed[f]
+        t = type(f)
+        if t is And:
+            got = ev(f.left, env) & ev(f.right, env)
+        elif t is Or:
+            got = ev(f.left, env) | ev(f.right, env)
+        elif t is Var:
+            return env[f.name]
+        elif t is Next:
+            got = pre(ev(f.operand, env))
+        elif t is Letter:
+            got = w.mask(f.name)
+        elif t is NegLetter:
+            got = full & ~w.mask(f.name)
+        else:
+            key = (f.kind, f.vars, f.bodies)
+            cur = systems.get(key)
+            if cur is None:
+                cur = dict.fromkeys(f.vars, 0 if f.kind == MU else full)
+                while True:
+                    inner = {**env, **cur}
+                    nxt = {name: ev(body, inner) for name, body in zip(f.vars, f.bodies)}
+                    if nxt == cur:
+                        break
+                    cur = nxt
+                if not f.free:
+                    systems[key] = cur
+            got = cur[f.vars[f.index]]
+        if not f.free:
+            closed[f] = got
+        return got
+
+    truths = [ev(f, {}) for f in phi_tuple]
+    return [frozenset(j for j, m in enumerate(truths) if m >> i & 1) for i in range(w.positions)]
+
+
+def test_eval_in_place_matches_whole_rounds():
+    # rank formulas of random NBAs with 1 to 3 states, asked together and
+    # one by one; an inner system reading the outer variable; an inner
+    # system rebinding the outer system's name, X = F (G a & b), which
+    # holds nowhere on a^omega
+    rng = random.Random(5)
+    cases = []
+    for n in (1, 2, 3):
+        for _ in range(2):
+            table = build_rank_formulas(random_nba(rng, AB, n))
+            roots = [f for level in table.chi for f in level] + list(table.final_tuple)
+            cases += [roots] + [[f] for f in roots]
+    rebinding = parse_nutl("mu_0 (X).(((nu_0 (X).(a & O X)) & b) | O X)", AB)
+    cases += [[parse_nutl("mu_0 (X).(b | O (mu_0 (Y).(X | a & O Y)))", AB)], [rebinding]]
+    for roots in cases:
+        for w in exhaustive_lassos_total(AB, 4):
+            assert nutl_eval_lasso(roots, w) == eval_in_whole_rounds(roots, w), (roots, str(w))
+    assert nutl_eval_lasso([rebinding], LassoWord((), ("a",))) == [set()]
 
 
 def test_eval_vector_components():
