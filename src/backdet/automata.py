@@ -12,7 +12,7 @@ is polarity-pure (all recurring or all non-recurring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import graph
 from .errors import SemanticError
@@ -86,14 +86,11 @@ def dual_condition(cond: Node, alphabet: Alphabet) -> Node:
 
 @dataclass(frozen=True)
 class SccInfo:
-    """One SCC of the transition graph.
-
-    ``recurring`` is None for a polarity-mixed component, which only arises
-    for automata that fail the weakness requirement.
-    """
+    """One SCC of the transition graph and its polarity, which weakness
+    makes one value for all its states."""
 
     states: tuple[str, ...]
-    recurring: Optional[bool]
+    recurring: bool
 
     @property
     def size(self) -> int:
@@ -106,7 +103,8 @@ class WeakAlternatingAutomaton:
     States and letters are kept in sorted order so that every derived
     artifact (SCC enumeration, value families, file output) is reproducible.
     The SCC decomposition is computed once, listed so that every component
-    appears after all components it reaches (successors first).
+    appears after all components it reaches (successors first).  A mixed
+    component raises SemanticError, after the structural ValueErrors.
     """
 
     def __init__(self, alphabet, states, delta, recurring, initial=None):
@@ -116,7 +114,7 @@ class WeakAlternatingAutomaton:
             raise ValueError("duplicate state ids")
         self.delta = dict(delta)
         self.recurring = frozenset(recurring)
-        self.initial = None if initial is None else frozenset(initial)
+        self.initial = frozenset(initial or ())
         self._validate()
         self.sccs = scc_decompose(self)
         self._scc_of = {q: idx for idx, scc in enumerate(self.sccs) for q in scc.states}
@@ -144,7 +142,7 @@ class WeakAlternatingAutomaton:
                 raise ValueError(f"delta({q}) holds a {kind.__name__} node, which is not a condition")
         if not self.recurring <= declared:
             raise ValueError("recurring set contains undeclared states")
-        if self.initial is not None and not self.initial <= declared:
+        if not self.initial <= declared:
             raise ValueError("initial set contains undeclared states")
 
     def scc_of(self, q: str) -> int:
@@ -171,21 +169,17 @@ def scc_decompose(waa: WeakAlternatingAutomaton) -> list[SccInfo]:
 
     Components are emitted sinks-first, i.e. a component appears after every
     component it reaches.  A singleton without a self-edge is its own SCC.
+    The first polarity-mixed component raises :class:`SemanticError`.
     """
     succ = {q: sorted(waa.delta[q].free) for q in waa.states}
     out = []
     for comp in graph.sccs(waa.states, succ):
         members = tuple(sorted(comp))
         rec = {q in waa.recurring for q in members}
-        out.append(SccInfo(members, rec.pop() if len(rec) == 1 else None))
+        if len(rec) > 1:
+            raise SemanticError(f"automaton is not weak, mixed SCC: {members}")
+        out.append(SccInfo(members, rec.pop()))
     return out
-
-
-def require_weak(waa: WeakAlternatingAutomaton) -> None:
-    """SemanticError naming the first polarity-mixed SCC, if there is one."""
-    for scc in waa.sccs:
-        if scc.recurring is None:
-            raise SemanticError(f"automaton is not weak, mixed SCC: {scc.states}")
 
 
 def is_very_weak(waa: WeakAlternatingAutomaton) -> bool:
@@ -194,8 +188,7 @@ def is_very_weak(waa: WeakAlternatingAutomaton) -> bool:
 
 def dualize(waa: WeakAlternatingAutomaton) -> WeakAlternatingAutomaton:
     """Complement automaton: dual conditions, polarities swapped.  The
-    transition graph is unchanged, so weakness carries over."""
-    require_weak(waa)
+    transition graph is unchanged, so the complement is weak too."""
     delta = {q: dual_condition(c, waa.alphabet) for q, c in waa.delta.items()}
     recurring = frozenset(waa.states) - waa.recurring
     return WeakAlternatingAutomaton(waa.alphabet, waa.states, delta, recurring, waa.initial)

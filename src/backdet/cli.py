@@ -112,7 +112,7 @@ def cmd_run(args):
         print(f"  fired:  {fired}")
         print(f"  output: {{{', '.join(sorted(out))}}}")
         print(f"  oracle: {{{', '.join(sorted(oracle))}}}{marker}")
-    if waa.initial is not None:
+    if waa.initial:
         print(f"accepted from initial set: {bool(waa.initial & outs[0])}")
     return EXIT_OK
 

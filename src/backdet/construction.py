@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .automata import LetterSet, WeakAlternatingAutomaton, fold, require_weak
+from .automata import LetterSet, WeakAlternatingAutomaton, fold
 from .errors import StateSpaceCapError
 
 INF = math.inf
@@ -139,7 +139,6 @@ class BackwardDetAutomaton:
     """
 
     def __init__(self, waa: WeakAlternatingAutomaton):
-        require_weak(waa)
         self.waa = waa
         self.state_pos = pos = {q: i for i, q in enumerate(waa.states)}
         # Buchi index set: (scc index, i) with 1 <= i <= |S|; one set per state.

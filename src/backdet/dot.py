@@ -24,7 +24,7 @@ def waa_to_dot(waa: WeakAlternatingAutomaton) -> str:
             attrs = []
             if q in waa.recurring:
                 attrs.append("shape=doublecircle")
-            if waa.initial is not None and q in waa.initial:
+            if q in waa.initial:
                 attrs.append("style=bold")
             attrs.append(f'label="{_dot_escape(q)}"')
             lines.append(f'    "{_dot_escape(q)}" [{", ".join(attrs)}];')

@@ -146,7 +146,7 @@ def format_waa(waa: WeakAlternatingAutomaton) -> str:
         "states: " + " ".join(waa.states),
         "recurring: " + " ".join(sorted(waa.recurring)),
     ]
-    if waa.initial is not None:
+    if waa.initial:
         lines.append("initial: " + " ".join(sorted(waa.initial)))
     for q in waa.states:
         lines.append(f"delta {q} = {format_condition(waa.delta[q])}")

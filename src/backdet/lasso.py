@@ -22,7 +22,7 @@ from functools import reduce
 from operator import or_
 
 from . import graph
-from .automata import And, NextState, Or, WeakAlternatingAutomaton, require_weak
+from .automata import And, NextState, Or, WeakAlternatingAutomaton
 from .construction import INF, BackwardDetAutomaton, TransitionRecord
 from .errors import MultipleFinalRunsError, NoFinalRunError
 
@@ -78,13 +78,14 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
     """The states accepting at each quotient position, one frozenset per
     position, the shape of :meth:`BackwardRun.outputs`.
 
-    Each state holds a position mask.  The SCCs are evaluated in topological
-    order (successors first): a non-recurring SCC's masks start empty and
-    rise to the least fixed point, a recurring SCC's start full and fall to
-    the greatest, updated in place.  A condition reads letters at the
-    current position and states at the successor position (``w.pre``), and
-    lower SCCs are settled by then: one evaluation settles a lone state that
-    reads none of its own.  The masks become per-position sets at the end.
+    Each state holds a position mask.  The SCCs, each of one polarity, are
+    evaluated in topological order (successors first): a non-recurring
+    SCC's masks start empty and rise to the least fixed point, a recurring
+    SCC's start full and fall to the greatest, updated in place.  A
+    condition reads letters at the current position and states at the
+    successor position (``w.pre``), and lower SCCs are settled by then: one
+    evaluation settles a lone state that reads none of its own.  The masks
+    become per-position sets at the end.
     """
     full, pre = w.full, w.pre
     val = {}
@@ -105,7 +106,6 @@ def waa_accept_table(waa: WeakAlternatingAutomaton, w: LassoWord) -> tuple:
             got |= w.mask(a)
         return got
 
-    require_weak(waa)
     for scc in waa.sccs:
         q = scc.states[0]
         if len(scc.states) == 1 and q not in waa.delta[q].free:

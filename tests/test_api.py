@@ -1,9 +1,12 @@
 """The names other code binds: the package's public API, and the module
 attributes that perfbench/run.py reads or patches.  A rename fails here, and
-so does a name that a module imports and never reads."""
+so does a name that a module imports and never reads, or defines and no
+code names."""
 
 import ast
 import dataclasses
+import re
+from collections import Counter
 from pathlib import Path
 
 import backdet
@@ -107,3 +110,22 @@ def test_every_imported_name_is_read():
         unread += [f"{path.relative_to(root)}:{line} {name}" for name, line in bound.items()
                    if name not in read | exported]
     assert not unread, unread
+
+
+def test_every_definition_is_named_elsewhere():
+    # each top-level function or class in src/backdet, and each method that
+    # is not a dunder, is named as a word in src/backdet, tests or perfbench
+    # more often than it is defined
+    root = Path(__file__).resolve().parent.parent
+    words = Counter(word for d in ("src/backdet", "tests", "perfbench") for p in (root / d).glob("*.py")
+                    for word in re.findall(r"\w+", p.read_text()))
+    defined = {}
+    for path in sorted((root / "src" / "backdet").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body
+                   if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+        for node in tree.body + methods:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+    unnamed = [(name, where) for name, where in defined.items() if words[name] <= len(where)]
+    assert not unnamed, unnamed

@@ -12,7 +12,6 @@ from backdet.automata import (
     dualize,
     fold,
     is_very_weak,
-    require_weak,
 )
 from backdet.errors import SemanticError
 from backdet.node import subterms
@@ -74,7 +73,6 @@ def test_scc_single_component():
     assert waa.sccs[0].states == ("q0", "q1")
     assert waa.sccs[0].recurring is False
     assert not is_very_weak(waa)
-    require_weak(waa)
 
 
 def test_scc_topological_order_successors_first():
@@ -91,10 +89,11 @@ def test_scc_topological_order_successors_first():
 
 def test_mixed_scc_detected():
     delta = {"q0": NextState("q1"), "q1": NextState("q0")}
-    waa = WeakAlternatingAutomaton(AB, ["q0", "q1"], delta, ["q0"])
-    assert waa.sccs[0].recurring is None
     with pytest.raises(SemanticError, match=r"mixed SCC: \('q0', 'q1'\)"):
-        dualize(waa)
+        WeakAlternatingAutomaton(AB, ["q0", "q1"], delta, ["q0"])
+    # the structural checks come first
+    with pytest.raises(ValueError, match="recurring set contains undeclared states"):
+        WeakAlternatingAutomaton(AB, ["q0", "q1"], delta, ["q0", "q2"])
 
 
 def test_dualize_swaps_polarity_and_conditions():

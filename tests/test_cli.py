@@ -7,6 +7,8 @@ from backdet.formats import format_waa, parse_nba, parse_waa
 from backdet.nba import nba_to_bda
 from backdet.nutl import parse_nutl
 from backdet.automata import Alphabet
+from backdet.dot import waa_to_dot
+from backdet.ltl import ltl_to_waa, parse_ltl
 
 
 # one SCC {q0, q1} with mixed polarity
@@ -54,15 +56,16 @@ def test_waa2bda_rejects_non_weak(tmp_path, capsys):
     bad.write_text(NON_WEAK)
     code, _, err = run_cli(capsys, "waa2bda", str(bad))
     assert code == cli.EXIT_SEMANTIC
+    assert "not weak" in err
 
 
-@pytest.mark.parametrize("argv", [("run",), ("dot", "--lasso")])
+@pytest.mark.parametrize("argv", [("run", "; z"), ("dot", "--lasso", "; z"), ("dot",)])
 def test_run_and_dot_reject_non_weak(tmp_path, capsys, argv):
     bad = tmp_path / "bad.txt"
     bad.write_text(NON_WEAK)
-    # the lasso's letter is outside the alphabet: weakness is checked first
-    command, *flag = argv
-    code, _, err = run_cli(capsys, command, str(bad), *flag, "; z")
+    # the lasso's letter is outside the alphabet: parsing the file fails first
+    command, *rest = argv
+    code, _, err = run_cli(capsys, command, str(bad), *rest)
     assert code == cli.EXIT_SEMANTIC
     assert "not weak" in err
 
@@ -186,6 +189,15 @@ def test_dot_output(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dot", str(waa_file), "--lasso", "; a b")
     assert code == 0
     assert out.startswith("digraph period")
+
+
+def test_waa_to_dot_marks_recurring_and_initial_states():
+    ab = Alphabet(("a", "b"))
+    out = waa_to_dot(ltl_to_waa(parse_ltl("G a", ab), ab))
+    assert 'label="SCC 0 (recurring)";' in out
+    assert '"q_G_a" [shape=doublecircle, style=bold, label="q_G_a"];' in out
+    assert 'label="SCC 1 (nonrecurring)";' in out
+    assert '"q_a" [label="q_a"];' in out
 
 
 def test_check_pass_mode(capsys, monkeypatch, tmp_path):

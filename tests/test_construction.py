@@ -315,10 +315,10 @@ def test_output_function():
 
 
 def test_rejects_non_weak():
+    # a mixed SCC fails when the automaton is built, before any BDA
     delta = {"q0": NextState("q1"), "q1": NextState("q0")}
-    waa = WeakAlternatingAutomaton(AB, ["q0", "q1"], delta, ["q0"])
     with pytest.raises(SemanticError, match="mixed SCC"):
-        BackwardDetAutomaton(waa)
+        WeakAlternatingAutomaton(AB, ["q0", "q1"], delta, ["q0"])
 
 
 def test_basic_step_two_fixed_families():

@@ -146,6 +146,25 @@ def test_peeling_on_bit_masks_matches_peeling_on_graphs():
     assert seen == {0, 1, 2, 3, INF}, seen
 
 
+def test_rank_formulas_match_peeling_where_ranks_three_and_four_hold():
+    # the random NBAs of the nba sweep peel only to rank 2; ladders climb
+    # higher, so every level of chi is checked where a vertex first enters it
+    rng = random.Random(2)
+    lassos = list(exhaustive_lassos_total(AB, 4))
+    seen = set()
+    for nba in [ladder_nba(rng, 4) for _ in range(8)]:
+        n = len(nba.states)
+        levels = range(2 * n)
+        flat = [f for level in build_rank_formulas(nba).chi for f in level]
+        for w in lassos:
+            truth = nutl_eval_lasso(flat, w)
+            for (p, q), r in peel_ranks(nba, w).ranks.items():
+                j = nba.states.index(q)
+                assert [i * n + j in truth[p] for i in levels] == [r <= i for i in levels], (str(w), p, q)
+                seen.add(r)
+    assert {3, 4} <= seen, seen
+
+
 def test_peel_ranks_loop():
     nba = loop_nba()
     dag = peel_ranks(nba, LassoWord((), ("a",)))

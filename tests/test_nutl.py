@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from backdet.automata import Alphabet, require_weak
+from backdet.automata import Alphabet
 from backdet.construction import BackwardDetAutomaton
 from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, bda_final_run, waa_accept_table
@@ -312,7 +312,6 @@ def test_dual_is_complement_and_involution():
 def test_translation_matches_semantics(texts):
     roots = [parse_nutl(text, AB) for text in texts]
     waa, inits = nutl_to_waa(roots, AB)
-    require_weak(waa)
     # a greatest fixed point makes its states recurring
     assert bool(waa.recurring) == any(NU in text for text in texts)
     bda = BackwardDetAutomaton(waa)

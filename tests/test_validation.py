@@ -1,10 +1,10 @@
 import pytest
 
 from backdet import lasso, nutl, validation
-from backdet.automata import Alphabet, require_weak
+from backdet.automata import Alphabet
 from backdet.errors import NoFinalRunError
 from backdet.lasso import LassoWord
-from backdet.nba import nba_accept_table
+from backdet.nba import QuotientRunDag, nba_accept_table
 from backdet.validation import (
     check_dual,
     check_ltl,
@@ -43,11 +43,11 @@ def test_exhaustive_lassos_total_counts():
 
 
 def test_random_waa_is_weak():
+    # construction raises SemanticError on a mixed SCC
     rng = random.Random(0)
     for _ in range(20):
         waa = random_waa(rng, AB, rng.randint(1, 5))
-        require_weak(waa)
-        assert waa.initial is not None
+        assert waa.initial
 
 
 def test_random_nba_valid():
@@ -140,7 +140,11 @@ BUCHI = {"negated top-level formula disagrees with acceptance": True,
      lambda real: _no_final_run, {"no final run": False}),
     (lambda: check_nba(count=1), validation, "bda_final_run",
      lambda real: _no_final_run, {"no final run": False}),
-], ids=["ltl", "nutl", "nba", "uniqueness", "ltl-no-run", "nutl-no-run", "nba-no-run"])
+    (lambda: check_nba(count=2), validation, "peel_ranks",
+     lambda real: lambda nba, w: QuotientRunDag(
+         {v: r + 2 * len(nba.states) for v, r in real(nba, w).ranks.items()}),
+     {"rank out of range": False, "rank formula disagrees with peeling": False}),
+], ids=["ltl", "nutl", "nba", "uniqueness", "ltl-no-run", "nutl-no-run", "nba-no-run", "nba-ranks"])
 def test_sweeps_report_each_failure_with_its_word_reason_and_position(
         monkeypatch, sweep, owner, attr, wrong, reasons):
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
@@ -150,6 +154,13 @@ def test_sweeps_report_each_failure_with_its_word_reason_and_position(
     for f in r.failures:
         assert f["word"]
         assert ("position" in f) == reasons[f["reason"]], f
+
+
+def test_ltl_sweep_reports_a_translation_that_is_not_very_weak(monkeypatch):
+    monkeypatch.setattr(validation, "is_very_weak", lambda waa: False)
+    r = check_ltl(count=1)
+    assert [f["reason"] for f in r.failures] == ["translation not very weak"]
+    assert r.failures[0]["formula"]
 
 
 def test_small_sweeps_pass():
