@@ -38,7 +38,7 @@ def waa_to_dot(waa: WeakAlternatingAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def period_graph_to_dot(bda: BackwardDetAutomaton, w, cap: int = 1 << 10) -> str:
+def period_graph_to_dot(bda: BackwardDetAutomaton, w, cap: int) -> str:
     """Functional graph of the one-period backward composition on the lasso
     ``w``, with the cycles highlighted.  Only usable when the state space
     fits the cap."""

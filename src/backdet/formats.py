@@ -176,7 +176,8 @@ def format_nba(nba: NBA) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_lasso(text: str, alphabet: Alphabet | None = None) -> LassoWord:
+def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
+    """The lasso 'u ; v'; each of its letters must be in ``alphabet``."""
     u_text, sep, v_text = text.partition(";")
     if not sep:
         raise FormatError("lasso must be written 'u ; v'")
@@ -186,10 +187,9 @@ def parse_lasso(text: str, alphabet: Alphabet | None = None) -> LassoWord:
     period = tuple(v_text.split())
     if not period:
         raise FormatError("lasso period must be non-empty")
-    if alphabet is not None:
-        for a in prefix + period:
-            if a not in alphabet:
-                raise FormatError(f"letter {a!r} not in alphabet")
+    for a in prefix + period:
+        if a not in alphabet:
+            raise FormatError(f"letter {a!r} not in alphabet")
     return LassoWord(prefix, period)
 
 

@@ -259,21 +259,22 @@ def bda_final_run(bda: BackwardDetAutomaton, w: LassoWord) -> BackwardRun:
     return BackwardRun(w, tuple(zip(*by_state)) or ((),) * n, tuple(accepting))
 
 
-def count_final_candidates(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> int:
+def count_final_candidates(bda, w) -> int:
     """Number of final candidate runs over the whole product space.
 
     The reference for :func:`bda_final_run`: h composes the full backward
     transition function over one period, every cycle of its functional
     graph on all families is found, and each rotation of a cycle that fires
     every Buchi index counts once.  Raises :class:`StateSpaceCapError` when
-    the state space exceeds ``cap``.
+    the state space exceeds ``DEFAULT_ENUMERATION_CAP`` (2^16 families).
     """
-    return len(_final_boundaries(bda, w, cap))
+    return len(_final_boundaries(bda, w))
 
 
-def _final_boundaries(bda, w, cap=DEFAULT_ENUMERATION_CAP) -> list:
-    """The loop-start family of every final candidate in the product space."""
-    return _final_candidates(bda.enumerate_state_space(cap), _period_map(bda, w), set(bda.buchi_indices))[0]
+def _final_boundaries(bda, w) -> list:
+    """The loop-start family of every final candidate in the capped product space."""
+    families = bda.enumerate_state_space(DEFAULT_ENUMERATION_CAP)
+    return _final_candidates(families, _period_map(bda, w), set(bda.buchi_indices))[0]
 
 
 def _period_map(bda, w):
@@ -311,13 +312,11 @@ class CheckReport:
         return f"{self.mode}: {status} ({self.cases} cases, {len(self.failures)} failures)"
 
 
-def cross_validate(waa: WeakAlternatingAutomaton, w: LassoWord, bda=None, run=None) -> CheckReport:
-    """Lambda on the final run's family at each position against the direct
-    oracle; one case per position, one failure per position that differs."""
-    if bda is None:
-        bda = BackwardDetAutomaton(waa)
-    if run is None:
-        run = bda_final_run(bda, w)
+def cross_validate(waa: WeakAlternatingAutomaton, w: LassoWord, bda: BackwardDetAutomaton,
+                   run: BackwardRun) -> CheckReport:
+    """Lambda on ``run``, the final run on ``w`` of ``bda`` built from
+    ``waa``, at each position against the direct oracle; one case per
+    position, one failure per position that differs."""
     report = CheckReport("cross_validate", w.positions)
     for i, (oracle, family) in enumerate(zip(waa_accept_table(waa, w), run.families, strict=True)):
         got = bda.output(family)

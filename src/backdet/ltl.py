@@ -103,6 +103,9 @@ class _LtlParser(TokenCursor):
 
 
 def parse_ltl(text: str, alphabet: Alphabet) -> Node:
+    for a in alphabet:
+        if a in _OPERATORS:
+            raise FormatError(f"letter {a!r} is an LTL operator")
     return _LtlParser(text, alphabet).parse()
 
 

@@ -174,6 +174,9 @@ class _NutlParser(TokenCursor):
 
 
 def parse_nutl(text: str, alphabet: Alphabet) -> Node:
+    for a in alphabet:
+        if a == "O" or _FIX_NAME.match(a):
+            raise FormatError(f"letter {a!r} is a fixed-point operator")
     return _NutlParser(text, alphabet).parse()
 
 
@@ -217,13 +220,14 @@ def _format_node(f, text) -> str:
 class _Analysis:
     """The dependence graph of a formula tuple: subformula vertices in
     preorder, successor lists with the closure edges, the binder table
-    (variable name -> (fix node, component index)) and the graph's SCCs,
-    successors first."""
+    (variable name -> (fix node, component index)) and the graph's cyclic
+    SCCs, successors first, each with the set of fixed-point kinds of the
+    variables and fix nodes on it."""
 
     nodes: list
     succ: dict
     binders: dict
-    sccs: list
+    cyclic: list
 
     def unfold(self, f, build):
         """The condition of the body that a fix node or variable selects."""
@@ -262,16 +266,10 @@ def _analyse(roots) -> _Analysis:
             succ[f] = [fix.bodies[j]]
         else:
             succ[f] = list(f.children)
-    return _Analysis(nodes, succ, binders, graph.sccs(nodes, succ))
-
-
-def _cyclic_kinds(a: _Analysis):
-    """Each cyclic SCC with the set of fixed-point kinds of the variables
-    and fix nodes on it."""
-    for comp in a.sccs:
-        if graph.is_cyclic(comp, a.succ):
-            yield comp, {a.binders[f.name][0].kind if isinstance(f, Var) else f.kind
-                         for f in comp if isinstance(f, (Var, Fix))}
+    cyclic = [(comp, {binders[f.name][0].kind if isinstance(f, Var) else f.kind
+                      for f in comp if isinstance(f, (Var, Fix))})
+              for comp in graph.sccs(nodes, succ) if graph.is_cyclic(comp, succ)]
+    return _Analysis(nodes, succ, binders, cyclic)
 
 
 def _unguarded_cycle(a: _Analysis) -> list | None:
@@ -292,7 +290,7 @@ def _unguarded_cycle(a: _Analysis) -> list | None:
 
 
 def _alternating_component(a: _Analysis) -> list | None:
-    return next((comp for comp, kinds in _cyclic_kinds(a) if kinds == {MU, NU}), None)
+    return next((comp for comp, kinds in a.cyclic if kinds == {MU, NU}), None)
 
 
 def check_guarded(phi) -> list | None:
@@ -365,7 +363,7 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton
     build = _condition_builder(alphabet, names.__getitem__, a.unfold)
     delta = {names[f]: build(f) for f in a.nodes}
 
-    recurring = {names[f] for comp, kinds in _cyclic_kinds(a) if kinds == {NU} for f in comp}
+    recurring = {names[f] for comp, kinds in a.cyclic if kinds == {NU} for f in comp}
 
     initial_states = [names[f] for f in roots]
     waa = WeakAlternatingAutomaton(

@@ -89,7 +89,7 @@ def test_criterion_2_backward_determinism():
             continue
         for w in lassos:
             cases += 1
-            n = count_final_candidates(bda, w, cap=1 << 12)
+            n = count_final_candidates(bda, w)
             if n != 1:
                 bad.append((str(w), n))
     for _ in range(40):
@@ -99,7 +99,7 @@ def test_criterion_2_backward_determinism():
             continue
         for w in lassos:
             cases += 1
-            n = count_final_candidates(bda, w, cap=1 << 12)
+            n = count_final_candidates(bda, w)
             if n != 1:
                 bad.append((str(w), n))
     report(2, not bad, f"exactly one final h-cycle on {cases} cases {bad[:3]}")
@@ -272,7 +272,7 @@ def test_nba_pipeline_at_five_states():
     assert max(scc.size for scc in res.waa.sccs) == 5
     answers = set()
     for text in ("; a", "a ; b", "; a b", "b a ; a b b", "; b", "a b ; b a"):
-        w = parse_lasso(text)
+        w = parse_lasso(text, nba.alphabet)
         expect = nba_accept_table(nba, w)
         assert res.outputs(bda_final_run(res.bda, w)) == expect, text
         answers.update(expect)

@@ -33,6 +33,9 @@ def test_ltl2waa_writes_parseable_waa(tmp_path, capsys):
 def test_ltl2waa_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "ltl2waa", "F (")
     assert code == cli.EXIT_PARSE
+    code, _, err = run_cli(capsys, "ltl2waa", "X", "--alphabet", "X", "a")
+    assert code == cli.EXIT_PARSE
+    assert "letter 'X' is an LTL operator" in err
 
 
 def test_waa2bda_header(tmp_path, capsys):
@@ -187,6 +190,19 @@ def test_dot_output(tmp_path, capsys):
     assert out.startswith("digraph waa")
     assert "q_F_a" in out
     code, out, _ = run_cli(capsys, "dot", str(waa_file), "--lasso", "; a b")
+    assert code == 0
+    assert out.startswith("digraph period")
+
+
+def test_dot_period_graph_cap(tmp_path, capsys):
+    # 11 one-state SCCs: 2^11 = 2048 families, above the default cap 1024
+    chain = tmp_path / "chain.txt"
+    chain.write_text("alphabet: a b\nstates: " + " ".join(f"q{i}" for i in range(11)) + "\nrecurring:\n"
+                     + "".join(f"delta q{i} = [a] | X q{i + 1}\n" for i in range(10)) + "delta q10 = [a]\n")
+    code, _, err = run_cli(capsys, "dot", str(chain), "--lasso", "; a")
+    assert code == cli.EXIT_CAP
+    assert "state space has 2048 families, exceeding cap 1024" in err
+    code, out, _ = run_cli(capsys, "dot", str(chain), "--lasso", "; a", "--cap", "2048")
     assert code == 0
     assert out.startswith("digraph period")
 

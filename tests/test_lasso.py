@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton
 from backdet.construction import INF, BackwardDetAutomaton
 from backdet.dot import period_graph_to_dot
-from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError
+from backdet.errors import FinalRunError, MultipleFinalRunsError, NoFinalRunError, StateSpaceCapError
 from backdet.formats import format_bda, parse_waa
 from backdet.lasso import (
     DEFAULT_ENUMERATION_CAP,
@@ -185,7 +185,7 @@ def test_final_run_matches_product_space_search():
             continue
         automata += 1
         for w in lassos:
-            (boundary,) = _final_boundaries(bda, w, 1 << 12)
+            (boundary,) = _final_boundaries(bda, w)
             run = bda_final_run(bda, w)
             cur = boundary
             for i in range(w.positions - 1, -1, -1):
@@ -292,14 +292,23 @@ def test_final_candidates_find_the_cycle_of_a_single_start():
         assert _final_candidates(["x"], lambda start: (start, misses), type(need)())[0] == ["x"]
 
 
+def test_product_space_reference_refuses_more_than_2_to_the_16_families():
+    # X^16 a: 17 one-state SCCs, 2^17 families
+    bda = BackwardDetAutomaton(ltl_to_waa(parse_ltl("X " * 16 + "a", AB), AB))
+    assert len(bda.waa.states) == 17
+    with pytest.raises(StateSpaceCapError) as err:
+        count_final_candidates(bda, LassoWord((), ("a",)))
+    assert (err.value.bound, err.value.cap) == (1 << 17, DEFAULT_ENUMERATION_CAP) == (131072, 65536)
+
+
 def test_cross_validate_mismatch_reporting():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
     w = LassoWord((), ("a", "b"))
-    report = cross_validate(waa, w)
+    bda = BackwardDetAutomaton(waa)
+    report = cross_validate(waa, w, bda, bda_final_run(bda, w))
     assert report.ok and not report.failures and report.cases == 2
     # a run of ; b a has the same quotient length, and q_a accepts at the
     # other position
-    bda = BackwardDetAutomaton(waa)
     report = cross_validate(waa, w, bda, bda_final_run(bda, LassoWord((), ("b", "a"))))
     assert report.ok is False and report.cases == 2
     pinned = [{k: f[k] for k in ("word", "position", "oracle", "bda", "family")} for f in report.failures]
@@ -393,7 +402,7 @@ def test_step_memo_stays_within_its_bound():
         for _ in range(20):
             w = _random_lasso(rng, 3, 4)
             assert count_final_candidates(bda, w) == 1
-            assert period_graph_to_dot(bda, w).startswith("digraph period")
+            assert period_graph_to_dot(bda, w, 1 << 10).startswith("digraph period")
         assert f"families: {bda.state_space_bound}" in format_bda(bda, 1 << 10)
         for s, scc in enumerate(bda.waa.sccs):
             mask = bda.outside_mask[s]
@@ -421,7 +430,7 @@ def test_final_runs_of_random_weak_automata_match_the_oracle():
         polarities |= {scc.recurring for scc in waa.sccs}
         bda = BackwardDetAutomaton(waa)
         for w in lassos:
-            report = cross_validate(waa, w, bda)
+            report = cross_validate(waa, w, bda, bda_final_run(bda, w))
             assert report.ok, report.failures
     assert polarities == {True, False}
 

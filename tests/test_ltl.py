@@ -49,6 +49,11 @@ def test_parser_errors():
         parse_ltl("(a", AB)
     with pytest.raises(FormatError):
         parse_ltl("a b", AB)
+    # a letter the parser would read as an operator is rejected up front
+    for letter in ("X", "F", "G", "U", "R"):
+        with pytest.raises(FormatError) as err:
+            parse_ltl("a", Alphabet(("a", letter)))
+        assert str(err.value) == f"letter {letter!r} is an LTL operator"
 
 
 def test_format_round_trip():

@@ -51,6 +51,14 @@ def test_parse_resolves_letters_vs_vars():
 def test_parse_errors():
     with pytest.raises(FormatError):
         parse_nutl("! (a)", AB)
+    # a letter the parser would read as an operator is rejected up front;
+    # format_nutl(Letter("O")) prints "O", which would not parse back
+    for letter in ("O", "mu_0", "nu_12"):
+        with pytest.raises(FormatError) as err:
+            parse_nutl("a", Alphabet(("a", letter)))
+        assert str(err.value) == f"letter {letter!r} is a fixed-point operator"
+    assert parse_nutl("mu | nu_x | O_1", Alphabet(("mu", "nu_x", "O_1"))) == Or(
+        Or(Letter("mu"), Letter("nu_x")), Letter("O_1"))
     # fix-header errors point at the fix token
     for text in (
         "mu_2 (X).(a)",  # index out of range
