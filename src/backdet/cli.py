@@ -63,8 +63,7 @@ def cmd_nutl2waa(args):
             roots.append(nutl.parse_nutl(line, alphabet))
         except FormatError as e:
             raise FormatError(e.reason, f"line {lineno}, formula offset {e.position}") from None
-    translate = nutl.nutl_to_waa_optimized if args.optimized else nutl.nutl_to_waa
-    waa, initial_states = translate(roots, alphabet)
+    waa, initial_states = nutl.nutl_to_waa(roots, alphabet)
     out = format_waa(waa)
     out += "# components: " + " ".join(initial_states) + "\n"
     _write(args.output, out)
@@ -168,8 +167,6 @@ def build_parser():
     s = sub.add_parser("nutl2waa", help="translate a fixed-point formula tuple (one component per line)")
     s.add_argument("input")
     s.add_argument("--alphabet", nargs="+", required=True)
-    s.add_argument("--optimized", action="store_true",
-                   help="one state per fixed-point variable instead of per subformula")
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(fn=cmd_nutl2waa)
 

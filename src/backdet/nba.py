@@ -14,7 +14,7 @@ search; :func:`peel_ranks` peels on vertex bit masks, checked by that search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .automata import Alphabet
@@ -159,8 +159,9 @@ class RankFormulaTable:
     j is true at a position exactly when q_j accepts the suffix there.
     """
 
-    chi: list
-    final_tuple: tuple
+    # left out of the repr: printed as trees, they grow exponentially with the levels
+    chi: list = field(repr=False)
+    final_tuple: tuple = field(repr=False)
 
 
 def build_rank_formulas(nba: NBA) -> RankFormulaTable:
@@ -176,6 +177,12 @@ def build_rank_formulas(nba: NBA) -> RankFormulaTable:
     So the SCCs of level i are the NBA's SCCs, taken over all states at even
     i and over the non-Buchi states at odd i, with each Buchi state a
     singleton at odd i; no SCC is larger than n.
+
+    Translated (:func:`nutl.nutl_to_waa`), the final tuple has a state
+    X{i}_{k} exactly when a condition names it: X{2n-1}_{k} for every k, the
+    tuple's components, and otherwise when the NBA has an edge p -> q_k with
+    i even or p not Buchi.  Its SCCs are the level SCCs above, restricted to
+    those states.
     """
     n = len(nba.states)
     if n < 1:
@@ -221,7 +228,7 @@ def build_rank_formulas(nba: NBA) -> RankFormulaTable:
 @dataclass
 class NbaPipelineResult:
     nba: NBA
-    formulas: RankFormulaTable
+    formulas: RankFormulaTable = field(repr=False)  # see RankFormulaTable
     waa: object
     initial_states: list
     bda: BackwardDetAutomaton
@@ -236,13 +243,14 @@ class NbaPipelineResult:
 
 
 def nba_to_bda(nba: NBA) -> NbaPipelineResult:
-    """Full pipeline: rank formulas -> optimized translation -> backward
+    """Full pipeline: rank formulas -> fixed-point translation -> backward
     deterministic automaton.
 
-    The intermediate weak automaton has one state X{i}_{j} per rank-formula
-    variable, 2n^2 in all.  Its SCCs are those of ``build_rank_formulas``:
-    each lies inside one level and follows the NBA's own SCCs there, with
-    Buchi states split off as singletons at odd levels.
+    The intermediate weak automaton has a state X{i}_{j} for each
+    rank-formula variable that a condition names, at most 2n^2 of them (see
+    ``build_rank_formulas``).  Each SCC lies inside one level and follows
+    the NBA's own SCCs there, with Buchi states split off as singletons at
+    odd levels.
     """
     table = build_rank_formulas(nba)
     waa, initial_states = nutl.nutl_to_waa_optimized(list(table.final_tuple), nba.alphabet)

@@ -40,6 +40,7 @@ closed is read from the node, which holds its free variables (``free``).
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -352,60 +353,47 @@ def _condition_builder(alphabet, state_of, unfold):
 
 
 def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton, list[str]]:
-    """Subformula-per-state translation.
+    """Translation with states on demand: one state for each tuple
+    component and for each next-step operand that a built condition names.
 
-    Returns the automaton and the list of state names corresponding to the
-    tuple components; the automaton's initial set collects them.
+    A variable, and a fix that selects one, share the state of the body
+    they denote, named after the variable; any other operand gets a fresh
+    name ``s<k>`` that no variable uses.  A state is recurring when the node
+    it denotes lies on a cyclic component of greatest fixed points only.
+    Returns the automaton and the state names of the tuple components; the
+    automaton's initial set collects them.
     """
     roots = list(phi_tuple)
     a = _require_translatable(roots)
-    names = {f: f"s{i}" for i, f in enumerate(a.nodes)}
-    build = _condition_builder(alphabet, names.__getitem__, a.unfold)
-    delta = {names[f]: build(f) for f in a.nodes}
+    fresh = (f"s{k}" for k in itertools.count() if f"s{k}" not in a.binders)
+    names, states = {}, []  # operand -> state name; (state name, denoted node) in build order
 
-    recurring = {names[f] for comp, kinds in a.cyclic if kinds == {NU} for f in comp}
-
-    initial_states = [names[f] for f in roots]
-    waa = WeakAlternatingAutomaton(
-        alphabet, names.values(), delta, recurring, initial=set(initial_states)
-    )
-    return waa, initial_states
-
-
-def nutl_to_waa_optimized(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton, list[str]]:
-    """Variable-per-state translation.
-
-    Applicable when every next-step operand denotes a fixed-point variable
-    (directly or through a fix selecting one); then the automaton has
-    exactly one state per fixed-point variable.
-    """
-    roots = list(phi_tuple)
-    a = _require_translatable(roots)
-
-    def variable(f, role="next-step operand"):
-        if isinstance(f, Var):
-            return f.name
+    def state_of(f):
         if isinstance(f, Fix):
-            return f.vars[f.index]
-        raise SemanticError(
-            f"optimized translation inapplicable: {role} {format_nutl(f)} "
-            "does not denote a fixed-point variable; "
-            "use the subformula translation instead"
-        )
+            f = Var(f.vars[f.index])
+        if f not in names:
+            if isinstance(f, Var):
+                fix, j = a.binders[f.name]
+                names[f], body = f.name, fix.bodies[j]
+            else:
+                names[f], body = next(fresh), f
+            states.append((names[f], body))
+        return names[f]
 
-    build = _condition_builder(alphabet, variable, a.unfold)
+    build = _condition_builder(alphabet, state_of, a.unfold)
+    initial_states = [state_of(f) for f in roots]
     delta = {}
-    recurring = set()
-    for name, (fix, j) in a.binders.items():
-        delta[name] = build(fix.bodies[j])
-        if fix.kind == NU:
-            recurring.add(name)
-
-    initial_states = [variable(f, f"tuple component {j}:") for j, f in enumerate(roots)]
-    waa = WeakAlternatingAutomaton(
-        alphabet, a.binders.keys(), delta, recurring, initial=set(initial_states)
-    )
+    for q, f in states:  # the worklist: building a condition appends the states it names
+        delta[q] = build(f)
+    on_nu = {f for comp, kinds in a.cyclic if kinds == {NU} for f in comp}
+    recurring = {q for q, f in states if f in on_nu}
+    waa = WeakAlternatingAutomaton(alphabet, list(delta), delta, recurring, initial=set(initial_states))
     return waa, initial_states
+
+
+# the one translation under its former second name, which the benchmark
+# harness (perfbench/run.py) binds and patches
+nutl_to_waa_optimized = nutl_to_waa
 
 
 # De Morgan duals: of each node class that keeps its fields, and of each fixed-point kind

@@ -189,8 +189,9 @@ def random_nutl(rng, alphabet: Alphabet, depth: int = 3, scope=()) -> Node:
 
 
 def check_nutl(seed: int = 13, count: int = 60) -> CheckReport:
-    """Fixed-point frontend sweep: Kleene evaluation against the backward
-    automaton outputs, duality, and optimized-translation agreement."""
+    """Fixed-point frontend sweep: the backward automaton's outputs against
+    the automaton oracle (:func:`cross_validate`) and the Kleene semantics,
+    and the dual formula against the complement."""
     rng = random.Random(seed)
     report = CheckReport("nutl")
     lassos = list(exhaustive_lassos(AB, 1, 2))
@@ -202,33 +203,26 @@ def check_nutl(seed: int = 13, count: int = 60) -> CheckReport:
         except SemanticError:
             continue
         produced += 1
+        text = nutl.format_nutl(phi)
         bda = BackwardDetAutomaton(waa)
-        try:
-            waa_opt, init_opt = nutl.nutl_to_waa_optimized([phi], AB)
-        except SemanticError:
-            waa_opt = None
         pair = [phi, nutl.dual_nutl(phi)]
         for w in lassos:
             report.cases += 1
             # component 0 is phi and component 1 its dual at each position
             truth = nutl.nutl_eval_lasso(pair, w)
             if any((0 in s) == (1 in s) for s in truth):
-                report.fail(formula=nutl.format_nutl(phi), word=str(w),
-                            reason="dual formula is not the complement")
+                report.fail(formula=text, word=str(w), reason="dual formula is not the complement")
             try:
                 run = bda_final_run(bda, w)
             except FinalRunError as e:
-                report.fail(formula=nutl.format_nutl(phi), word=str(w), reason=str(e))
+                report.fail(formula=text, word=str(w), reason=str(e))
                 continue
+            for failure in cross_validate(waa, w, bda, run).failures:
+                report.fail(formula=text, **failure)
             for i, (out, s) in enumerate(zip(run.outputs(bda), truth, strict=True)):
                 if (init in out) != (0 in s):
-                    report.fail(formula=nutl.format_nutl(phi), word=str(w), position=i,
+                    report.fail(formula=text, word=str(w), position=i,
                                 reason="backward outputs differ from Kleene semantics")
-            if waa_opt is not None:
-                for i, accepted in enumerate(waa_accept_table(waa_opt, w)):
-                    if (init_opt[0] in accepted) != (0 in truth[i]):
-                        report.fail(formula=nutl.format_nutl(phi), word=str(w), position=i,
-                                    reason="optimized translation changes the language")
     return report
 
 

@@ -176,6 +176,21 @@ def test_criterion_6_rank_formulas():
     )
 
 
+def predicted_rank_states(nba):
+    """States of the rank-formula automaton, predicted from the NBA.
+
+    A state X{i}_{k} is built when a condition names it: X{2n-1}_{k} for
+    every k, the tuple components, and otherwise when some edge p -> q_k
+    leaves a state p whose level-i body reads level i, that is when i is
+    even or p is not Buchi.
+    """
+    n = len(nba.states)
+    index = {q: j for j, q in enumerate(nba.states)}
+    named = {(i, index[q]) for p, _, q in nba.transitions for i in range(2 * n)
+             if i % 2 == 0 or p not in nba.buchi}
+    return {f"X{2 * n - 1}_{k}" for k in range(n)} | {f"X{i}_{k}" for i, k in named}
+
+
 def predicted_rank_sccs(nba):
     """SCC partition of the rank-formula automaton, predicted from the NBA.
 
@@ -183,12 +198,14 @@ def predicted_rank_sccs(nba):
     out of state j, and not at all when i is odd and state j is Buchi. So
     level i splits into the mutual-reachability classes of the NBA's edges:
     over all states at even i, over the non-Buchi states at odd i, with each
-    Buchi state a singleton at odd i. Computed by transitive closure, apart
+    Buchi state a singleton at odd i. The partition is restricted to
+    :func:`predicted_rank_states`. Computed by transitive closure, apart
     from the library's own SCC code.
     """
     n = len(nba.states)
     index = {q: j for j, q in enumerate(nba.states)}
     edges = {(index[p], index[q]) for p, _, q in nba.transitions}
+    states = predicted_rank_states(nba)
     partition = set()
     for i in range(2 * n):
         live = [j for j in range(n) if i % 2 == 0 or nba.states[j] not in nba.buchi]
@@ -200,15 +217,15 @@ def predicted_rank_sccs(nba):
                         reach.add((j, k))
         for j in range(n):
             cls = {j} | {k for k in live if (j, k) in reach and (k, j) in reach}
-            partition.add(frozenset(f"X{i}_{k}" for k in cls))
-    return partition
+            partition.add(frozenset(f"X{i}_{k}" for k in cls) & states)
+    return partition - {frozenset()}
 
 
 def test_criterion_7_nba_pipeline():
     # same NBA distribution: language equality through the full pipeline and
-    # the intermediate automaton's exact shape: 2n^2 states X{i}_{j} whose
-    # SCC partition is the one predicted from the NBA's edges, so every SCC
-    # lies inside one level of n states
+    # the intermediate automaton's exact shape: the states X{i}_{j} and the
+    # SCC partition predicted from the NBA's edges, so every SCC lies inside
+    # one level of n states
     rng = random.Random(17)
     lassos = list(exhaustive_lassos_total(AB, 4))
     lang_bad = []
@@ -222,9 +239,9 @@ def test_criterion_7_nba_pipeline():
             f"NBA states={list(nba.states)} buchi={sorted(nba.buchi)} "
             f"transitions={sorted(nba.transitions)}"
         )
-        names = {f"X{i}_{j}" for i in range(2 * n) for j in range(n)}
+        names = predicted_rank_states(nba)
         if set(res.waa.states) != names:
-            shape_bad.append(f"{label}: states {sorted(res.waa.states)}")
+            shape_bad.append(f"{label}: predicted states {sorted(names)}, actual {sorted(res.waa.states)}")
         expect_sccs = predicted_rank_sccs(nba)
         got_sccs = {frozenset(scc.states) for scc in res.waa.sccs}
         if got_sccs != expect_sccs:
@@ -247,14 +264,15 @@ def test_criterion_7_nba_pipeline():
 
 def test_nba_pipeline_at_four_states():
     # criterion 7 at n = 4, where an SCC of 4 states has 625 local values:
-    # language equality on every lasso |u|+|v| <= 3 and the predicted SCC
-    # partition
+    # language equality on every lasso |u|+|v| <= 3 and the predicted states
+    # and SCC partition
     rng = random.Random(4)
     lassos = list(exhaustive_lassos_total(AB, 3))
     largest = 0
     for _ in range(3):
         nba = random_nba(rng, AB, 4)
         res = nba_to_bda(nba)
+        assert set(res.waa.states) == predicted_rank_states(nba)
         assert {frozenset(scc.states) for scc in res.waa.sccs} == predicted_rank_sccs(nba)
         largest = max(largest, *(scc.size for scc in res.waa.sccs))
         for w in lassos:

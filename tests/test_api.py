@@ -65,6 +65,8 @@ def test_benchmark_bound_attributes():
         (ltl, "ltl_truth_vector"),
     ):
         assert callable(owner.__dict__[attr]), attr
+    # there is one fixed-point translation, under both names
+    assert nutl.nutl_to_waa_optimized is nutl.nutl_to_waa
     assert isinstance(lasso.DEFAULT_ENUMERATION_CAP, int)
 
 

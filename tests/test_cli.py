@@ -124,7 +124,7 @@ def test_nba2nutl_text_translates_to_the_pipeline_automaton(tmp_path, capsys):
     nba_file.write_text(text)
     assert run_cli(capsys, "nba2nutl", str(nba_file), "-o", str(ranks))[0] == 0
     assert ranks.read_text().startswith("@0 = ")
-    code, _, _ = run_cli(capsys, "nutl2waa", "--optimized", str(ranks), "--alphabet", "a", "b", "-o", str(out))
+    code, _, _ = run_cli(capsys, "nutl2waa", str(ranks), "--alphabet", "a", "b", "-o", str(out))
     assert code == 0
     res = nba_to_bda(parse_nba(text))
     assert out.read_text() == format_waa(res.waa) + "# components: " + " ".join(res.initial_states) + "\n"
@@ -149,12 +149,13 @@ def test_nutl2waa_unguarded_rejected(tmp_path, capsys):
     assert "guarded" in err
 
 
-def test_nutl2waa_optimized_names_a_bad_component(tmp_path, capsys):
+def test_nutl2waa_gives_a_letter_component_a_state(tmp_path, capsys):
     src = tmp_path / "phi.txt"
     src.write_text("a\n")
-    code, _, err = run_cli(capsys, "nutl2waa", "--optimized", str(src), "--alphabet", "a", "b")
-    assert code == cli.EXIT_SEMANTIC
-    assert "tuple component 0: a does not denote a fixed-point variable" in err
+    code, out, err = run_cli(capsys, "nutl2waa", str(src), "--alphabet", "a", "b")
+    assert code == 0
+    assert out.endswith("delta s0 = [a]\n# components: s0\n")
+    assert err == "1 states, 1 SCCs, BDA bound 2\n"
 
 
 @pytest.mark.parametrize("text", ["mu_0 (X,X).(a; b)", "mu_0 (X).(a; b)"])

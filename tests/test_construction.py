@@ -237,11 +237,12 @@ def test_rank_automaton_rows_match_the_definition():
     # outside state decides most Or and And nodes and the row fold stops
     # there; random_waa rarely draws that shape.  An SCC high in the ranks
     # reads up to 17 outside states, so only automata with at most 20 000
-    # row entries in all are checked
+    # row entries in all are checked, at least 5 of them and until SCCs of
+    # every size 1 to 3 have been seen
     rng = random.Random(7)
     sizes = set()
     automata = 0
-    while automata < 5:
+    while automata < 5 or len(sizes) < 3:
         bda = nba_to_bda(random_nba(rng, AB, 3)).bda
         sccs = bda.waa.sccs
         entries = [(len(AB) << m.bit_count()) * (scc.size + 1) ** scc.size for scc, m in zip(sccs, bda.outside_mask)]

@@ -131,9 +131,8 @@ def test_translations_raise_type_error_on_nodes_of_another_language():
         for function in (nutl.format_nutl, nutl.dual_nutl):
             with pytest.raises(TypeError):
                 function(f)
-        for translate in (nutl.nutl_to_waa, nutl.nutl_to_waa_optimized):
-            with pytest.raises(TypeError):
-                translate([f], AB)
+        with pytest.raises(TypeError):
+            nutl.nutl_to_waa([f], AB)
 
 
 def test_lasso_semantics_raise_type_error_on_nodes_of_another_language():

@@ -19,6 +19,7 @@ from backdet.nba import (
 from backdet.node import subterms
 from backdet.nutl import format_nutl, nutl_eval_lasso, parse_nutl
 from backdet.validation import exhaustive_lassos_total, random_nba
+from test_acceptance import predicted_rank_states
 
 AB = Alphabet(("a", "b"))
 
@@ -262,7 +263,8 @@ def cycle_nba():
 
 def test_pipeline_state_count():
     # level i splits into the NBA's SCCs, with Buchi states cut out as
-    # singletons at odd levels (see build_rank_formulas)
+    # singletons at odd levels (see build_rank_formulas); a state that no
+    # condition names is not built
     def levels(*blocks):
         return {frozenset(block.split()) for block in blocks}
 
@@ -270,13 +272,13 @@ def test_pipeline_state_count():
         (loop_nba(), levels("X0_0", "X1_0")),
         # q0 -> q1 has no way back, and q1 is Buchi: all singletons
         (two_state_nba(), levels(*(f"X{i}_{j}" for i in range(4) for j in range(2)))),
-        # one NBA cycle: whole even levels, split odd levels
-        (cycle_nba(), levels("X0_0 X0_1", "X1_0", "X1_1", "X2_0 X2_1", "X3_0", "X3_1")),
+        # one NBA cycle: whole even levels, split odd levels; only the Buchi
+        # q1 moves to q0, so X1_0 is not built
+        (cycle_nba(), levels("X0_0 X0_1", "X1_1", "X2_0 X2_1", "X3_0", "X3_1")),
     ]
     for nba, sccs in expected:
-        n = len(nba.states)
         res = nba_to_bda(nba)
-        assert len(res.waa.states) == 2 * n * n
+        assert set(res.waa.states) == set().union(*sccs) == predicted_rank_states(nba)
         assert {frozenset(scc.states) for scc in res.waa.sccs} == sccs
 
 
@@ -304,7 +306,15 @@ def test_rank_table_is_a_dag_linear_in_levels():
         assert counts[i] - counts[i - 2] == counts[3] - counts[1]
     # dualizing maps distinct nodes to distinct nodes
     assert len(subterms(res.formulas.final_tuple)) == counts[-1]
-    assert len(res.waa.states) == 2 * n * n
+    assert set(res.waa.states) == predicted_rank_states(nba)
+
+
+def test_pipeline_result_repr_stays_small():
+    # printed as trees, the rank formulas grow exponentially with the
+    # levels; the repr leaves them out
+    res = nba_to_bda(random_nba(random.Random(5), AB, 5))
+    assert len(repr(res)) < 2048
+    assert len(repr(res.formulas)) < 2048
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -110,9 +110,8 @@ def test_free_names_of_rank_tables_and_their_automata():
         table = build_rank_formulas(random_nba(random.Random(3), AB, n))
         assert _assert_free_names_by_definition([f for level in table.chi for f in level]) > 0
         assert _assert_free_names_by_definition(list(table.final_tuple)) > 0
-        for translate in (nutl.nutl_to_waa, nutl.nutl_to_waa_optimized):
-            waa, _ = translate(table.final_tuple, AB)
-            assert _assert_free_names_by_definition(list(waa.delta.values())) > 0
+        waa, _ = nutl.nutl_to_waa(table.final_tuple, AB)
+        assert _assert_free_names_by_definition(list(waa.delta.values())) > 0
 
 
 def test_free_names_of_random_formulas_and_their_automata():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from backdet.automata import Alphabet
+from backdet.automata import Alphabet, LetterSet, NextState
 from backdet.construction import BackwardDetAutomaton
 from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, bda_final_run, waa_accept_table
@@ -23,7 +23,6 @@ from backdet.nutl import (
     format_nutl,
     nutl_eval_lasso,
     nutl_to_waa,
-    nutl_to_waa_optimized,
     parse_nutl,
 )
 from backdet.node import subterms
@@ -330,30 +329,44 @@ def test_translation_matches_semantics(texts):
             assert got == truth[i], (texts, str(w), i)
 
 
-def test_optimized_translation_one_state_per_variable():
-    phi = parse_nutl("mu_0 (X,Y).(b | O Y; a & O X)", AB)
-    waa, inits = nutl_to_waa_optimized([phi], AB)
+def _assert_translation_matches_semantics(roots):
+    waa, inits = nutl_to_waa(roots, AB)
+    for w in exhaustive_lassos(AB, 2, 2):
+        truth = nutl_eval_lasso(roots, w)
+        for i, accepted in enumerate(waa_accept_table(waa, w)):
+            assert {j for j, q in enumerate(inits) if q in accepted} == truth[i], (str(w), i)
+    return waa, inits
+
+
+def test_translation_names_variable_states_after_the_variable():
+    waa, inits = _assert_translation_matches_semantics([parse_nutl("mu_0 (X,Y).(b | O Y; a & O X)", AB)])
     assert set(waa.states) == {"X", "Y"}
     assert inits == ["X"]
-    w = LassoWord((), ("b", "a"))
-    truth = nutl_eval_lasso([phi], w)
-    for i, accepted in enumerate(waa_accept_table(waa, w)):
-        assert ("X" in accepted) == (0 in truth[i])
 
 
-def test_optimized_translation_inapplicable():
-    # next operand is a disjunction, not a variable
-    phi = parse_nutl("mu_0 (X).(b | O (a | X))", AB)
-    with pytest.raises(SemanticError, match="next-step operand"):
-        nutl_to_waa_optimized([phi], AB)
-    # a tuple component that is no variable is named as a component
-    with pytest.raises(SemanticError, match="tuple component 1: a does not"):
-        nutl_to_waa_optimized([parse_nutl(UNTIL, AB), parse_nutl("a", AB)], AB)
+def test_translation_gives_other_operands_fresh_names():
+    # the operand b & O s0 gets the first name s<k> that no variable uses
+    waa, inits = _assert_translation_matches_semantics([parse_nutl("mu_0 (s0).(a | O (b & O s0))", AB)])
+    assert inits == ["s0"]
+    assert set(waa.states) == {"s0", "s1"}
+    assert waa.delta["s1"] == And(LetterSet({"b"}), NextState("s0"))
+
+
+def test_translation_of_operands_that_denote_no_variable():
+    # a next-step operand that is a disjunction, and a tuple component that
+    # is a letter, each get a state of their own
+    waa, _ = _assert_translation_matches_semantics([parse_nutl("mu_0 (X).(b | O (a | X))", AB)])
+    assert set(waa.states) == {"X", "s0"}
+    waa, inits = _assert_translation_matches_semantics([parse_nutl(UNTIL, AB), parse_nutl("a", AB)])
+    assert inits == ["X", "s0"]
 
 
 def test_recurring_states_follow_binder_kind():
     phi = parse_nutl(ALWAYS, AB)
-    waa, _ = nutl_to_waa_optimized([phi], AB)
+    waa, _ = nutl_to_waa([phi], AB)
     assert waa.recurring == frozenset({"X"})
-    waa_mu, _ = nutl_to_waa_optimized([parse_nutl(UNTIL, AB)], AB)
+    waa_mu, _ = nutl_to_waa([parse_nutl(UNTIL, AB)], AB)
     assert waa_mu.recurring == frozenset()
+    # a fresh state on a greatest-fixed-point cycle is recurring too
+    waa, _ = nutl_to_waa([parse_nutl("nu_0 (X).(a & O (b | O X))", AB)], AB)
+    assert waa.recurring == frozenset({"X", "s0"})

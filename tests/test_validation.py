@@ -119,8 +119,7 @@ def _no_final_run(bda, w):
 # whether each names a position
 SEMANTICS = "backward output differs from formula semantics"
 KLEENE = {"dual formula is not the complement": False,
-          "backward outputs differ from Kleene semantics": True,
-          "optimized translation changes the language": True}
+          "backward outputs differ from Kleene semantics": True}
 BUCHI = {"negated top-level formula disagrees with acceptance": True,
          "pipeline language differs": True}
 
@@ -130,6 +129,9 @@ BUCHI = {"negated top-level formula disagrees with acceptance": True,
      lambda real: lambda phi, w: [not t for t in real(phi, w)], {SEMANTICS: True}),
     (lambda: check_nutl(count=10), nutl, "nutl_eval_lasso",
      lambda real: lambda fs, w: [frozenset()] * w.positions, KLEENE),
+    (lambda: check_nutl(count=2), lasso, "waa_accept_table",
+     lambda real: lambda waa, w: tuple(frozenset(waa.states) - s for s in real(waa, w)),
+     {"output differs from automaton oracle": True}),
     (lambda: check_nba(count=2), validation, "nba_accept_table",
      lambda real: lambda nba, w: (frozenset(),) * w.positions, BUCHI),
     (lambda: check_uniqueness(count=3), validation, "count_final_candidates",
@@ -144,7 +146,7 @@ BUCHI = {"negated top-level formula disagrees with acceptance": True,
      lambda real: lambda nba, w: QuotientRunDag(
          {v: r + 2 * len(nba.states) for v, r in real(nba, w).ranks.items()}),
      {"rank out of range": False, "rank formula disagrees with peeling": False}),
-], ids=["ltl", "nutl", "nba", "uniqueness", "ltl-no-run", "nutl-no-run", "nba-no-run", "nba-ranks"])
+], ids=["ltl", "nutl", "nutl-automaton", "nba", "uniqueness", "ltl-no-run", "nutl-no-run", "nba-no-run", "nba-ranks"])
 def test_sweeps_report_each_failure_with_its_word_reason_and_position(
         monkeypatch, sweep, owner, attr, wrong, reasons):
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
@@ -172,8 +174,8 @@ def test_small_sweeps_pass():
 
 
 def test_nutl_sweep_at_its_defaults():
-    # the defaults draw greatest fixed points and optimized translations,
-    # which count=5 does not; the case count pins the sweep's sizes
+    # the defaults draw greatest fixed points, which count=5 does not; the
+    # case count pins the sweep's sizes
     r = check_nutl()
     assert r.ok and r.cases == 1080
 
