@@ -5,10 +5,10 @@ only allowed directly on letters.  LTL is a fragment of the fixed-point
 calculus of :mod:`backdet.nutl`: its letter, negated-letter and next-step
 nodes are the ones declared there, its ``|`` and ``&`` nodes the ones that
 formulas and conditions share (:mod:`backdet.node`), and this module
-declares only F, G, U and R.  The translation produces a very weak
-alternating automaton with one state per distinct subformula; it builds
-conditions with the fixed-point frontend's builder and unfolds F, G, U and
-R one step ahead.
+declares only F, G, U and R.  The fixed-point frontend's translator builds
+a very weak automaton with states on demand: the formula's and those its
+conditions name, nearly the temporal subformulas and the initial formula
+of Gastin and Oddoux (CAV 2001); F, G, U and R unfold one step ahead.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
 from .node import And, Node, Or, subterms
-from .nutl import _SWAP, Letter, NegLetter, Next, _condition_builder
+from .nutl import _SWAP, Letter, NegLetter, Next, _translate
 
 
 class Eventually(Node):
@@ -102,10 +102,16 @@ class _LtlParser(TokenCursor):
         return (NegLetter if negated else Letter)(tok)
 
 
+def _require_letter(name: str) -> str:
+    """The name of a letter that the parser (and so the printer) can take."""
+    if name in _OPERATORS:
+        raise FormatError(f"letter {name!r} is an LTL operator")
+    return name
+
+
 def parse_ltl(text: str, alphabet: Alphabet) -> Node:
     for a in alphabet:
-        if a in _OPERATORS:
-            raise FormatError(f"letter {a!r} is an LTL operator")
+        _require_letter(a)
     return _LtlParser(text, alphabet).parse()
 
 
@@ -115,7 +121,7 @@ def format_ltl(f: Node) -> str:
         return f"({format_ltl(f.left)} {sym} {format_ltl(f.right)})"
     if f.children:
         return f"{sym} ({format_ltl(f.operand)})"
-    return sym + f.name
+    return sym + _require_letter(f.name)
 
 
 def negate(f: Node) -> Node:
@@ -146,17 +152,15 @@ def _state_names(subs) -> dict:
 
 
 def ltl_to_waa(phi: Node, alphabet: Alphabet) -> WeakAlternatingAutomaton:
-    """One state per distinct subformula; the result is very weak.
-
-    Eventually/until states are non-recurring, always/release states
-    recurring; states that lie on no cycle are fixed to non-recurring.
+    """States on demand (:func:`nutl._translate`): phi's, and each next-step
+    operand's and F, G, U or R subformula's that a built condition names,
+    with its name from :func:`_state_names`; the result is very weak.
+    Always/release states are recurring, all others non-recurring.
     """
-    subs = subterms([phi], children_first=True)
-    names = _state_names(subs)
+    names = _state_names(subterms([phi], children_first=True))
 
-    def unfold(g, build):
-        """F, G, U and R one step ahead, with g's own state next."""
-        here = NextState(names[g])
+    def unfold(g, build, state_of):
+        here = NextState(state_of(g))
         if isinstance(g, Eventually):
             return Or(build(g.operand), here)
         if isinstance(g, Always):
@@ -166,12 +170,8 @@ def ltl_to_waa(phi: Node, alphabet: Alphabet) -> WeakAlternatingAutomaton:
         # Release: _state_names has rejected every class outside _TABLE
         return And(build(g.right), Or(build(g.left), here))
 
-    build = _condition_builder(alphabet, names.__getitem__, unfold)
-    delta = {names[g]: build(g) for g in subs}
-    recurring = {names[g] for g in subs if isinstance(g, (Always, Release))}
-    return WeakAlternatingAutomaton(
-        alphabet, names.values(), delta, recurring, initial={names[phi]}
-    )
+    return _translate(alphabet, [phi], lambda g: (names[g], g), unfold,
+                      lambda g: isinstance(g, (Always, Release)))[0]
 
 
 def ltl_truth_vector(phi: Node, w: LassoWord) -> list[bool]:

@@ -7,7 +7,7 @@ module declares those nodes, except ``|`` and ``&``, which formulas and
 transition conditions share (:mod:`backdet.node`).  LTL is a fragment of
 this calculus (Vardi, POPL 1988): :mod:`backdet.ltl` uses the letter,
 negated-letter and next-step nodes declared here and adds only F, G, U and
-R, and one condition builder serves the translations of both.
+R, and one translator, with states on demand, serves both.
 
 Nodes are hash-consed (:mod:`backdet.node`): structurally identical
 subformulas are one object, and equality is identity.  A variable may
@@ -174,10 +174,16 @@ class _NutlParser(TokenCursor):
             raise FormatError(str(e), at) from None
 
 
+def _require_letter(name: str) -> str:
+    """The name of a letter that the parser (and so the printer) can take."""
+    if name == "O" or _FIX_NAME.match(name):
+        raise FormatError(f"letter {name!r} is a fixed-point operator")
+    return name
+
+
 def parse_nutl(text: str, alphabet: Alphabet) -> Node:
     for a in alphabet:
-        if a == "O" or _FIX_NAME.match(a):
-            raise FormatError(f"letter {a!r} is a fixed-point operator")
+        _require_letter(a)
     return _NutlParser(text, alphabet).parse()
 
 
@@ -200,9 +206,9 @@ def format_nutl(f: Node) -> str:
 def _format_node(f, text) -> str:
     """The text of ``f`` given the texts of its children."""
     if isinstance(f, Letter):
-        return f.name
+        return _require_letter(f.name)
     if isinstance(f, NegLetter):
-        return f"!{f.name}"
+        return f"!{_require_letter(f.name)}"
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Next):
@@ -220,21 +226,15 @@ def _format_node(f, text) -> str:
 @dataclass
 class _Analysis:
     """The dependence graph of a formula tuple: subformula vertices in
-    preorder, successor lists with the closure edges, the binder table
-    (variable name -> (fix node, component index)) and the graph's cyclic
-    SCCs, successors first, each with the set of fixed-point kinds of the
-    variables and fix nodes on it."""
+    preorder, successor lists with the closure edges (a fix node's or
+    variable's one successor is the body it selects), the binder table
+    (variable name -> (fix node, component index)) and the cyclic SCCs,
+    successors first, each with the fixed-point kinds on it."""
 
     nodes: list
     succ: dict
     binders: dict
     cyclic: list
-
-    def unfold(self, f, build):
-        """The condition of the body that a fix node or variable selects."""
-        if not isinstance(f, (Fix, Var)):
-            raise TypeError(f"not a nutl formula: {f!r}")
-        return build(self.succ[f][0])
 
 
 def _analyse(roots) -> _Analysis:
@@ -330,12 +330,20 @@ def _require_translatable(roots) -> _Analysis:
     return a
 
 
-def _condition_builder(alphabet, state_of, unfold):
-    """Transition condition of a formula node: a letter is tested at the
-    current position, a next-step operand f becomes the state
-    ``state_of(f)``, ``|`` and ``&`` join their operands' conditions, and
-    every other node g becomes ``unfold(g, build)``.  Both the fixed-point and the LTL
-    translation build their conditions here."""
+def _translate(alphabet, roots, denote, unfold, recurring):
+    """The automaton of both frontends, with states on demand: each root and
+    each next-step operand f that a built condition names has the state q of
+    ``denote(f) == (q, g)`` (one q, one g), with g's condition, recurring iff
+    ``recurring(g)``.  A condition tests letters, names next-step operands'
+    states, joins ``|`` and ``&``, and is ``unfold(g, build, state_of)`` for
+    any other node g.  Returns the automaton and the roots' (initial) states."""
+    names, todo = {}, []  # operand -> state name; (state name, denoted node) in build order
+
+    def state_of(f):
+        if f not in names:
+            todo.append(denote(f))
+            names[f] = todo[-1][0]
+        return names[f]
 
     @functools.cache
     def build(f):
@@ -347,48 +355,39 @@ def _condition_builder(alphabet, state_of, unfold):
             return NextState(state_of(f.operand))
         if isinstance(f, (Or, And)):
             return type(f)(build(f.left), build(f.right))
-        return unfold(f, build)
+        return unfold(f, build, state_of)
 
-    return build
+    initial = [state_of(f) for f in roots]
+    delta = {q: build(g) for q, g in todo}  # the worklist: building appends the states named
+    on = {q for q, g in todo if recurring(g)}
+    return WeakAlternatingAutomaton(alphabet, list(delta), delta, on, initial=set(initial)), initial
 
 
 def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton, list[str]]:
-    """Translation with states on demand: one state for each tuple
-    component and for each next-step operand that a built condition names.
-
-    A variable, and a fix that selects one, share the state of the body
-    they denote, named after the variable; any other operand gets a fresh
-    name ``s<k>`` that no variable uses.  A state is recurring when the node
-    it denotes lies on a cyclic component of greatest fixed points only.
-    Returns the automaton and the state names of the tuple components; the
-    automaton's initial set collects them.
+    """States on demand (:func:`_translate`): one for each tuple component
+    and each next-step operand that a built condition names.  A variable,
+    and a fix that selects one, share the state of the body they denote and
+    unfold to, named after the variable; any other operand gets a fresh name
+    ``s<k>`` that no variable uses.  A state is recurring when the node it
+    denotes lies on a cyclic component of greatest fixed points only.
+    Returns the automaton and the tuple components' states, its initial set.
     """
     roots = list(phi_tuple)
     a = _require_translatable(roots)
     fresh = (f"s{k}" for k in itertools.count() if f"s{k}" not in a.binders)
-    names, states = {}, []  # operand -> state name; (state name, denoted node) in build order
 
-    def state_of(f):
-        if isinstance(f, Fix):
-            f = Var(f.vars[f.index])
-        if f not in names:
-            if isinstance(f, Var):
-                fix, j = a.binders[f.name]
-                names[f], body = f.name, fix.bodies[j]
-            else:
-                names[f], body = next(fresh), f
-            states.append((names[f], body))
-        return names[f]
+    def denote(f):
+        if isinstance(f, (Fix, Var)):
+            return (f.vars[f.index] if isinstance(f, Fix) else f.name), a.succ[f][0]
+        return next(fresh), f
 
-    build = _condition_builder(alphabet, state_of, a.unfold)
-    initial_states = [state_of(f) for f in roots]
-    delta = {}
-    for q, f in states:  # the worklist: building a condition appends the states it names
-        delta[q] = build(f)
+    def unfold(f, build, _):
+        if not isinstance(f, (Fix, Var)):
+            raise TypeError(f"not a nutl formula: {f!r}")
+        return build(a.succ[f][0])
+
     on_nu = {f for comp, kinds in a.cyclic if kinds == {NU} for f in comp}
-    recurring = {q for q, f in states if f in on_nu}
-    waa = WeakAlternatingAutomaton(alphabet, list(delta), delta, recurring, initial=set(initial_states))
-    return waa, initial_states
+    return _translate(alphabet, roots, denote, unfold, on_nu.__contains__)
 
 
 # the one translation under its former second name, which the benchmark

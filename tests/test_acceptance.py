@@ -55,16 +55,20 @@ def test_ltl_final_run_families_are_the_subformula_truth_sets():
     # only the abstract, so this is not the paper's definition.  In a very
     # weak automaton every SCC is one state with values {1, inf}, so lambda
     # is a bijection from families to output sets: the final-run family at
-    # each position must be the one whose output is the set of subformulas
-    # true there.  A prefix of criterion 1's formulas, on its lassos.
+    # each position must be the one whose output is the set of states whose
+    # subformulas are true there.  The states are phi's and those that
+    # conditions name.  A prefix of criterion 1's formulas, on its lassos.
     rng = random.Random(7)
     lassos = list(exhaustive_lassos(AB, 2, 3))
     for _ in range(40):
         phi = random_ltl(rng, AB, 8)
         waa = ltl_to_waa(phi, AB)
         bda = BackwardDetAutomaton(waa)
-        subformula = {q: g for g, q in _state_names(subterms([phi], children_first=True)).items()}
-        assert set(subformula) == set(waa.states)
+        names = _state_names(subterms([phi], children_first=True))
+        subformula = {q: g for g, q in names.items() if q in waa.states}
+        named = set().union(*(cond.free for cond in waa.delta.values()))
+        assert set(subformula) == set(waa.states) == {names[phi]} | named
+        assert waa.initial == {names[phi]}
         for w in lassos:
             truth = {q: ltl_truth_vector(g, w) for q, g in subformula.items()}
             for i, family in enumerate(bda_final_run(bda, w).families):

@@ -25,9 +25,9 @@ def test_ltl2waa_writes_parseable_waa(tmp_path, capsys):
     out = tmp_path / "waa.txt"
     code, _, err = run_cli(capsys, "ltl2waa", "F a", "-o", str(out))
     assert code == 0
-    assert "2 states, very weak, BDA bound 4" in err
+    assert "1 states, very weak, BDA bound 2" in err
     waa = parse_waa(out.read_text())
-    assert waa.states == ("q_F_a", "q_a")
+    assert waa.states == ("q_F_a",)
 
 
 def test_ltl2waa_parse_error_exit_code(capsys):
@@ -43,7 +43,7 @@ def test_waa2bda_header(tmp_path, capsys):
     run_cli(capsys, "ltl2waa", "F a", "-o", str(waa_file))
     code, out, _ = run_cli(capsys, "waa2bda", str(waa_file))
     assert code == 0
-    assert "state-space-bound: 4" in out
+    assert "state-space-bound: 2" in out
 
 
 def test_waa2bda_cap_exceeded(tmp_path, capsys):
@@ -51,7 +51,7 @@ def test_waa2bda_cap_exceeded(tmp_path, capsys):
     run_cli(capsys, "ltl2waa", "F a", "-o", str(waa_file))
     code, _, err = run_cli(capsys, "waa2bda", str(waa_file), "--enumerate", "1")
     assert code == cli.EXIT_CAP
-    assert "4" in err  # names the bound
+    assert "state space has 2 families, exceeding cap 1" in err  # names the bound
 
 
 def test_waa2bda_rejects_non_weak(tmp_path, capsys):
@@ -210,11 +210,21 @@ def test_dot_period_graph_cap(tmp_path, capsys):
 
 def test_waa_to_dot_marks_recurring_and_initial_states():
     ab = Alphabet(("a", "b"))
-    out = waa_to_dot(ltl_to_waa(parse_ltl("G a", ab), ab))
-    assert 'label="SCC 0 (recurring)";' in out
-    assert '"q_G_a" [shape=doublecircle, style=bold, label="q_G_a"];' in out
-    assert 'label="SCC 1 (nonrecurring)";' in out
+    out = waa_to_dot(ltl_to_waa(parse_ltl("G X a", ab), ab))
+    assert 'label="SCC 0 (nonrecurring)";' in out
     assert '"q_a" [label="q_a"];' in out
+    assert 'label="SCC 1 (recurring)";' in out
+    assert '"q_G_X_a" [shape=doublecircle, style=bold, label="q_G_X_a"];' in out
+
+
+def test_waa_to_dot_draws_no_state_that_no_condition_names():
+    # G a reads a at the current position: no state for a, so no orphan
+    # node q_a without an edge into it
+    ab = Alphabet(("a", "b"))
+    out = waa_to_dot(ltl_to_waa(parse_ltl("G a", ab), ab))
+    assert out.count("subgraph cluster_") == 1
+    assert '"q_G_a" [shape=doublecircle, style=bold, label="q_G_a"];' in out
+    assert '"q_a"' not in out
 
 
 def test_check_pass_mode(capsys, monkeypatch, tmp_path):

@@ -66,10 +66,11 @@ def test_unrolled_same_word():
 
 
 def test_accept_table_eventually():
-    waa = ltl_to_waa(parse_ltl("F a", AB), AB)
+    # F X a: the state of a, which X names, accepts where a holds
+    waa = ltl_to_waa(parse_ltl("F X a", AB), AB)
     w = LassoWord(("b",), ("a", "b"))
-    assert waa_accept_table(waa, w) == ({"q_F_a"}, {"q_F_a", "q_a"}, {"q_F_a"})
-    assert "q_F_a" not in waa_accept_table(waa, LassoWord((), ("b",)))[0]
+    assert waa_accept_table(waa, w) == ({"q_F_X_a"}, {"q_F_X_a", "q_a"}, {"q_F_X_a"})
+    assert "q_F_X_a" not in waa_accept_table(waa, LassoWord((), ("b",)))[0]
 
 
 def accept_table_confirming_every_scc(waa, w):
@@ -122,7 +123,7 @@ def test_accept_table_always():
 
 
 def test_final_run_eventually_frozen_families():
-    waa = ltl_to_waa(parse_ltl("F a", AB), AB)
+    waa = ltl_to_waa(parse_ltl("F X a", AB), AB)
     bda = BackwardDetAutomaton(waa)
 
     run = bda_final_run(bda, LassoWord((), ("b",)))
@@ -131,25 +132,25 @@ def test_final_run_eventually_frozen_families():
 
     run = bda_final_run(bda, LassoWord(("b",), ("a", "b")))
     assert [bda.format_family(f) for f in run.families] == [
-        "q_F_a=1 q_a=inf",
-        "q_F_a=1 q_a=1",
-        "q_F_a=1 q_a=inf",
+        "q_F_X_a=1 q_a=inf",
+        "q_F_X_a=1 q_a=1",
+        "q_F_X_a=1 q_a=inf",
     ]
     assert run.outputs(bda) == (
-        frozenset({"q_F_a"}),
-        frozenset({"q_F_a", "q_a"}),
-        frozenset({"q_F_a"}),
+        frozenset({"q_F_X_a"}),
+        frozenset({"q_F_X_a", "q_a"}),
+        frozenset({"q_F_X_a"}),
     )
 
 
 def test_final_run_always_frozen_families():
-    waa = ltl_to_waa(parse_ltl("G a", AB), AB)
+    waa = ltl_to_waa(parse_ltl("G X a", AB), AB)
     bda = BackwardDetAutomaton(waa)
     run = bda_final_run(bda, LassoWord(("a",), ("b", "a")))
     assert [bda.format_family(f) for f in run.families] == [
-        "q_G_a=1 q_a=1",
-        "q_G_a=1 q_a=inf",
-        "q_G_a=1 q_a=1",
+        "q_G_X_a=1 q_a=1",
+        "q_G_X_a=1 q_a=inf",
+        "q_G_X_a=1 q_a=1",
     ]
 
 
@@ -302,7 +303,7 @@ def test_product_space_reference_refuses_more_than_2_to_the_16_families():
 
 
 def test_cross_validate_mismatch_reporting():
-    waa = ltl_to_waa(parse_ltl("F a", AB), AB)
+    waa = ltl_to_waa(parse_ltl("F X a", AB), AB)
     w = LassoWord((), ("a", "b"))
     bda = BackwardDetAutomaton(waa)
     report = cross_validate(waa, w, bda, bda_final_run(bda, w))
@@ -313,10 +314,10 @@ def test_cross_validate_mismatch_reporting():
     assert report.ok is False and report.cases == 2
     pinned = [{k: f[k] for k in ("word", "position", "oracle", "bda", "family")} for f in report.failures]
     assert pinned == [
-        {"word": " ; a b", "position": 0, "oracle": ["q_F_a", "q_a"], "bda": ["q_F_a"],
-         "family": "q_F_a=1 q_a=inf"},
-        {"word": " ; a b", "position": 1, "oracle": ["q_F_a"], "bda": ["q_F_a", "q_a"],
-         "family": "q_F_a=1 q_a=1"},
+        {"word": " ; a b", "position": 0, "oracle": ["q_F_X_a", "q_a"], "bda": ["q_F_X_a"],
+         "family": "q_F_X_a=1 q_a=inf"},
+        {"word": " ; a b", "position": 1, "oracle": ["q_F_X_a"], "bda": ["q_F_X_a", "q_a"],
+         "family": "q_F_X_a=1 q_a=1"},
     ]
 
 

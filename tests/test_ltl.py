@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backdet import nutl
 from backdet.automata import Alphabet, LetterSet, NextState, Or, is_very_weak
-from backdet.errors import FormatError
+from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, waa_accept_table
 from backdet.ltl import (
     Always,
@@ -23,7 +24,7 @@ from backdet.ltl import (
     random_ltl,
 )
 from backdet.node import subterms
-from backdet.validation import exhaustive_lassos
+from backdet.validation import exhaustive_lassos, random_nutl
 
 AB = Alphabet(("a", "b"))
 
@@ -54,6 +55,16 @@ def test_parser_errors():
         with pytest.raises(FormatError) as err:
             parse_ltl("a", Alphabet(("a", letter)))
         assert str(err.value) == f"letter {letter!r} is an LTL operator"
+
+
+@pytest.mark.parametrize("letter", ["X", "F", "G", "U", "R"])
+def test_format_rejects_a_letter_named_like_an_operator(letter):
+    # the parser's one rule: X (F) would not parse back
+    for phi in (Next(Letter(letter)), LAnd(Letter("a"), NegLetter(letter))):
+        with pytest.raises(FormatError) as err:
+            format_ltl(phi)
+        assert str(err.value) == f"letter {letter!r} is an LTL operator"
+    assert format_ltl(Next(Letter(letter + "a"))) == f"X ({letter}a)"
 
 
 def test_format_round_trip():
@@ -104,10 +115,11 @@ def test_operator_text_dual_and_state_name(text, printed, dual, state):
 
 
 def test_state_names_are_deduplicated():
-    # the letter not_a and the negated letter !a both compact to not_a
+    # the letter not_a and the negated letter !a both compact to not_a; X
+    # names the state of each
     alphabet = Alphabet(("a", "not_a"))
-    waa = ltl_to_waa(parse_ltl("not_a & !a", alphabet), alphabet)
-    assert waa.states == ("q_and__not_a__not_a", "q_not_a", "q_not_a_")
+    waa = ltl_to_waa(parse_ltl("X not_a & X !a", alphabet), alphabet)
+    assert waa.states == ("q_and__X_not_a__X_not_a", "q_not_a", "q_not_a_")
 
 
 # letters, next, & and | are shared, so each foreign node holds a variable
@@ -172,7 +184,7 @@ def test_subformulas_distinct_children_first():
 
 def test_translation_structure_eventually():
     waa = ltl_to_waa(parse_ltl("F a", AB), AB)
-    assert waa.states == ("q_F_a", "q_a")
+    assert waa.states == ("q_F_a",)
     assert waa.recurring == frozenset()
     assert waa.initial == frozenset({"q_F_a"})
     assert waa.delta["q_F_a"] == Or(LetterSet({"a"}), NextState("q_F_a"))
@@ -185,10 +197,41 @@ def test_translation_recurring_states():
     assert rec == {"q_G_a", "q_R__b__a"}
 
 
-def test_translation_one_state_per_subformula():
+def test_translation_builds_the_formula_state_and_the_states_conditions_name():
+    # a U b is named twice, unfolded in the root's condition and under X,
+    # and gets one state; its letters are read in the conditions
     phi = parse_ltl("(a U b) | X (a U b)", AB)
     waa = ltl_to_waa(phi, AB)
-    assert len(waa.states) == len(subterms([phi]))
+    assert waa.states == ("q_U__a__b", "q_or__U__a__b__X_U__a__b")
+    assert waa.initial == {"q_or__U__a__b__X_U__a__b"}
+    assert waa.delta["q_or__U__a__b__X_U__a__b"] == Or(waa.delta["q_U__a__b"], NextState("q_U__a__b"))
+
+
+def reachable_states(waa):
+    """The states reachable from the initial ones through delta[q].free."""
+    seen, todo = set(waa.initial), list(waa.initial)
+    while todo:
+        for r in waa.delta[todo.pop()].free - seen:
+            seen.add(r)
+            todo.append(r)
+    return seen
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 4))
+def test_translations_build_only_states_reachable_from_the_initial_states(seed, size, depth):
+    # states on demand: each state is a root's or one that a built
+    # condition names, so none is unreachable; a state for every subformula
+    # would fail here (G a's q_a is read by no condition)
+    waa = ltl_to_waa(random_ltl(random.Random(seed), AB, size), AB)
+    assert set(waa.states) == reachable_states(waa)
+    assert is_very_weak(waa) and len(waa.initial) == 1
+    try:
+        waa, roots = nutl.nutl_to_waa([random_nutl(random.Random(seed), AB, depth)], AB)
+    except SemanticError:  # a draw may alternate fixed-point kinds on a cycle
+        return
+    assert set(waa.states) == reachable_states(waa)
+    assert waa.initial == set(roots)
 
 
 def test_truth_vector_until():

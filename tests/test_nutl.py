@@ -34,6 +34,15 @@ UNTIL = "mu_0 (X).(b | (a & O X))"  # a U b
 ALWAYS = "nu_0 (X).(a & O X)"       # G a
 
 
+@pytest.mark.parametrize("letter", ["O", "mu_0", "nu_12"])
+def test_format_rejects_a_letter_named_like_an_operator(letter):
+    # the parser's one rule: O (O) would not parse back
+    for phi in (Next(Letter(letter)), And(Letter("a"), NegLetter(letter))):
+        with pytest.raises(FormatError) as err:
+            format_nutl(phi)
+        assert str(err.value) == f"letter {letter!r} is a fixed-point operator"
+
+
 def test_parse_fix_and_vector():
     phi = parse_nutl("mu_1 (X,Y).(O Y; b | O X)", AB)
     assert isinstance(phi, Fix)
@@ -58,6 +67,7 @@ def test_parse_errors():
         assert str(err.value) == f"letter {letter!r} is a fixed-point operator"
     assert parse_nutl("mu | nu_x | O_1", Alphabet(("mu", "nu_x", "O_1"))) == Or(
         Or(Letter("mu"), Letter("nu_x")), Letter("O_1"))
+    assert format_nutl(Or(Letter("mu"), NegLetter("O_1"))) == "(mu | !O_1)"
     # fix-header errors point at the fix token
     for text in (
         "mu_2 (X).(a)",  # index out of range
