@@ -40,6 +40,11 @@ def _read(path):
         return fh.read()
 
 
+def _count(n, noun):
+    """``n`` and the noun, plural unless n is 1."""
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
 def cmd_ltl2waa(args):
     alphabet = Alphabet(tuple(args.alphabet))
     phi = parse_ltl(args.formula, alphabet)
@@ -48,7 +53,7 @@ def cmd_ltl2waa(args):
     _write(args.output, format_waa(waa))
     shape = "very weak" if is_very_weak(waa) else "weak"
     print(
-        f"{len(waa.states)} states, {shape}, BDA bound {bda.state_space_bound}",
+        f"{_count(len(waa.states), 'state')}, {shape}, BDA bound {bda.state_space_bound}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -69,7 +74,7 @@ def cmd_nutl2waa(args):
     _write(args.output, out)
     bda = BackwardDetAutomaton(waa)
     print(
-        f"{len(waa.states)} states, {len(waa.sccs)} SCCs, "
+        f"{_count(len(waa.states), 'state')}, {_count(len(waa.sccs), 'SCC')}, "
         f"BDA bound {bda.state_space_bound}",
         file=sys.stderr,
     )
@@ -83,8 +88,8 @@ def cmd_nba2nutl(args):
     _write(args.output, "\n".join(lines) + "\n")
     n = len(nba.states)
     print(
-        f"{n} NBA states, {2 * n} fixed-point blocks, "
-        f"{len(lines)} tuple components",
+        f"{_count(n, 'NBA state')}, {_count(2 * n, 'fixed-point block')}, "
+        f"{_count(len(lines), 'tuple component')}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -21,7 +21,13 @@ class FormatError(BackdetError):
 
 
 class SemanticError(BackdetError):
-    """Well-formed input failing a semantic check (weakness, guardedness, ...)."""
+    """Well-formed input failing a semantic check (weakness, guardedness, ...);
+    ``cycle`` is an unguarded fixed-point tuple's witness: subformulas, none a
+    next step, each leading to the next and the last back to the first."""
+
+    def __init__(self, message, cycle=None):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 class StateSpaceCapError(BackdetError):

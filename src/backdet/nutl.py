@@ -24,10 +24,11 @@ Steffen, FMSD 1993).  ``@0 = (a & O (b)); (@0 | O (@0))`` is
 ``(a & O b) | O (a & O b)``.  A definition uses only names defined before
 it, and a text without definitions is read as before.
 
-Cycles are detected on the dependence graph closed under an edge from each
-variable occurrence to the body it selects in its binder; guardedness
-requires a next-step vertex on every cycle, alternation-freeness forbids
-cycles through variables of both a least and a greatest fixed point.
+One check (:func:`_analyse`) admits a tuple to :func:`nutl_to_waa`, on the
+dependence graph closed under an edge from each variable occurrence to the
+body it selects in its binder: guardedness requires a next-step vertex on
+every cycle, alternation-freeness forbids cycles through variables of both
+a least and a greatest fixed point.
 
 :func:`nutl_eval_lasso` is the Kleene semantics on a lasso: a formula
 denotes a position mask of the lasso quotient (:class:`LassoWord`).  Each
@@ -43,7 +44,6 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .automata import Alphabet, LetterSet, NextState, WeakAlternatingAutomaton
 from . import graph
@@ -131,7 +131,7 @@ class _NutlParser(TokenCursor):
         if tok == "!":
             name = self.take()
             if name not in self.alphabet:
-                raise FormatError(f"negation is only allowed on letters, got {name!r}", self.pos())
+                raise FormatError(f"negation is only allowed on letters, got {name!r}", at)
             return NegLetter(name)
         if tok == "O":
             return Next(self.operand())
@@ -223,111 +223,65 @@ def _format_node(f, text) -> str:
     raise TypeError(f"not a nutl formula: {f!r}")
 
 
-@dataclass
-class _Analysis:
-    """The dependence graph of a formula tuple: subformula vertices in
-    preorder, successor lists with the closure edges (a fix node's or
-    variable's one successor is the body it selects), the binder table
-    (variable name -> (fix node, component index)) and the cyclic SCCs,
-    successors first, each with the fixed-point kinds on it."""
-
-    nodes: list
-    succ: dict
-    binders: dict
-    cyclic: list
-
-
-def _analyse(roots) -> _Analysis:
-    """Analysis of one formula or a tuple.
-
-    A name bound by several fix nodes is accepted only when the binders
-    agree on variable vector and bodies (structural sharing across the
-    components of a vector fix).  Each variable occurrence gets an edge to
-    the body it selects in its binder.
-    """
-    nodes = subterms([roots] if isinstance(roots, Node) else roots)
-    binders = {}
-    for f in nodes:
-        if not isinstance(f, Fix):
-            continue
-        for j, name in enumerate(f.vars):
-            prior = binders.get(name)
-            if prior is None:
-                binders[name] = (f, j)
-            elif (prior[0].vars, prior[0].bodies) != (f.vars, f.bodies):
-                raise SemanticError(f"variable {name!r} bound more than once")
-    succ = {}
-    for f in nodes:
-        if isinstance(f, Fix):
-            succ[f] = [f.bodies[f.index]]
-        elif isinstance(f, Var):
-            if f.name not in binders:
-                raise SemanticError(f"free variable {f.name!r}")
-            fix, j = binders[f.name]
-            succ[f] = [fix.bodies[j]]
-        else:
-            succ[f] = list(f.children)
-    cyclic = [(comp, {binders[f.name][0].kind if isinstance(f, Var) else f.kind
-                      for f in comp if isinstance(f, (Var, Fix))})
-              for comp in graph.sccs(nodes, succ) if graph.is_cyclic(comp, succ)]
-    return _Analysis(nodes, succ, binders, cyclic)
-
-
-def _unguarded_cycle(a: _Analysis) -> list | None:
-    # the dependence graph without its next-step vertices has a cycle
-    # exactly when some dependence cycle avoids them
-    sub = {
-        f: [w for w in a.succ[f] if not isinstance(w, Next)]
-        for f in a.nodes
-        if not isinstance(f, Next)
-    }
-    for comp in graph.sccs(list(sub), sub):
-        if graph.is_cyclic(comp, sub):
-            # each member has a successor inside; following the first
-            # such successor from every member walks into a cycle
-            members = set(comp)
-            return graph.functional_cycles({f: next(w for w in sub[f] if w in members) for f in comp})[0]
-    return None
-
-
-def _alternating_component(a: _Analysis) -> list | None:
-    return next((comp for comp, kinds in a.cyclic if kinds == {MU, NU}), None)
-
-
-def check_guarded(phi) -> list | None:
-    """None if every dependence cycle passes a next-step vertex; otherwise
-    a cycle avoiding them (as a list of subformulas, each leading to the
-    next and the last back to the first)."""
-    return _unguarded_cycle(_analyse(phi))
-
-
-def check_alternation_free(phi) -> list | None:
-    """None if no cycle mixes least- and greatest-fixed-point recursion;
-    otherwise a cyclic component of the dependence graph (a list of
-    subformulas) that holds variables or fix nodes of both kinds."""
-    return _alternating_component(_analyse(phi))
-
-
 def _require_closed(roots):
     for f in roots:
         if f.free:
             raise SemanticError(f"formula is not closed: free {sorted(f.free)}")
 
 
-def _require_translatable(roots) -> _Analysis:
-    """The analysis of a closed, guarded, alternation-free formula tuple;
-    SemanticError for any other."""
+def _denoted(f, binders):
+    """The body that a fix node selects, or that a variable selects in its
+    binder (``binders``: variable name -> (fix node, component index))."""
+    if isinstance(f, Fix):
+        return f.bodies[f.index]
+    fix, j = binders[f.name]
+    return fix.bodies[j]
+
+
+def _analyse(roots) -> tuple[dict, set]:
+    """The one check of a fixed-point tuple: SemanticError unless it is
+    closed, binds each name once, is guarded and is alternation-free, tested
+    in that order.  Binders that agree on variable vector and bodies bind
+    their names once (sharing across the components of a vector fix).  In
+    the dependence graph a fix node and a variable lead to the body they
+    denote (:func:`_denoted`), any other node to its children; an unguarded
+    tuple's error holds a ``cycle`` with no next-step vertex.  Returns the
+    binder table and the nodes on cyclic components of greatest fixed points
+    only."""
     _require_closed(roots)
-    a = _analyse(roots)
-    cycle = _unguarded_cycle(a)
-    if cycle is not None:
-        raise SemanticError(
-            "formula is not guarded; cycle without a next-step operator: "
-            + " -> ".join(format_nutl(f) for f in cycle[:6])
-        )
-    if _alternating_component(a) is not None:
-        raise SemanticError("formula has a fixed-point alternation on a cycle")
-    return a
+    nodes = subterms(roots)
+    binders = {}
+    for f in nodes:
+        if isinstance(f, Fix):
+            for j, name in enumerate(f.vars):
+                prior = binders.setdefault(name, (f, j))[0]
+                if (prior.vars, prior.bodies) != (f.vars, f.bodies):
+                    raise SemanticError(f"variable {name!r} bound more than once")
+    succ = {f: [_denoted(f, binders)] if isinstance(f, (Fix, Var)) else list(f.children) for f in nodes}
+    # the graph without its next-step vertices has a cycle exactly when
+    # some dependence cycle avoids them
+    sub = {f: [w for w in succ[f] if not isinstance(w, Next)] for f in nodes if not isinstance(f, Next)}
+    for comp in graph.sccs(list(sub), sub):
+        if graph.is_cyclic(comp, sub):
+            # each member has a successor inside; following the first
+            # such successor from every member walks into a cycle
+            members = set(comp)
+            cycle = graph.functional_cycles({f: next(w for w in sub[f] if w in members) for f in comp})[0]
+            raise SemanticError(
+                "formula is not guarded; cycle without a next-step operator: "
+                + " -> ".join(format_nutl(f) for f in cycle[:6]),
+                cycle=cycle,
+            )
+    on_nu = set()
+    for comp in graph.sccs(nodes, succ):
+        if graph.is_cyclic(comp, succ):
+            kinds = {binders[f.name][0].kind if isinstance(f, Var) else f.kind
+                     for f in comp if isinstance(f, (Var, Fix))}
+            if kinds == {MU, NU}:
+                raise SemanticError("formula has a fixed-point alternation on a cycle")
+            if kinds == {NU}:
+                on_nu.update(comp)
+    return binders, on_nu
 
 
 def _translate(alphabet, roots, denote, unfold, recurring):
@@ -373,20 +327,19 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton
     Returns the automaton and the tuple components' states, its initial set.
     """
     roots = list(phi_tuple)
-    a = _require_translatable(roots)
-    fresh = (f"s{k}" for k in itertools.count() if f"s{k}" not in a.binders)
+    binders, on_nu = _analyse(roots)
+    fresh = (f"s{k}" for k in itertools.count() if f"s{k}" not in binders)
 
     def denote(f):
         if isinstance(f, (Fix, Var)):
-            return (f.vars[f.index] if isinstance(f, Fix) else f.name), a.succ[f][0]
+            return (f.vars[f.index] if isinstance(f, Fix) else f.name), _denoted(f, binders)
         return next(fresh), f
 
     def unfold(f, build, _):
         if not isinstance(f, (Fix, Var)):
             raise TypeError(f"not a nutl formula: {f!r}")
-        return build(a.succ[f][0])
+        return build(_denoted(f, binders))
 
-    on_nu = {f for comp, kinds in a.cyclic if kinds == {NU} for f in comp}
     return _translate(alphabet, roots, denote, unfold, on_nu.__contains__)
 
 

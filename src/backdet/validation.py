@@ -90,14 +90,14 @@ def random_waa(rng, alphabet: Alphabet, n_states: int) -> WeakAlternatingAutomat
     return WeakAlternatingAutomaton(alphabet, states, delta, recurring, initial)
 
 
-def random_nba(rng, alphabet: Alphabet, n_states: int, density: float = 0.5) -> NBA:
+def random_nba(rng, alphabet: Alphabet, n_states: int) -> NBA:
     states = [f"q{i}" for i in range(n_states)]
     transitions = [
         (q, a, q2)
         for q in states
         for a in alphabet
         for q2 in states
-        if rng.random() < density
+        if rng.random() < 0.5
     ]
     buchi = [q for q in states if rng.random() < 0.5]
     initial = [rng.choice(states)]

@@ -16,7 +16,7 @@ from backdet.lasso import (
     waa_accept_table,
 )
 from backdet.ltl import _state_names, ltl_to_waa, ltl_truth_vector, random_ltl
-from backdet.nba import nba_accept_table, nba_to_bda
+from backdet.nba import NBA, nba_accept_table, nba_to_bda
 from backdet.node import subterms
 from backdet.validation import (
     check_dual,
@@ -287,8 +287,14 @@ def test_nba_pipeline_at_four_states():
 def test_nba_pipeline_at_five_states():
     # criterion 7 at n = 5, where an SCC of 5 states has 6^5 = 7776 local
     # values: language equality on a few lassos and the predicted SCC
-    # partition, on one NBA sparse enough that the answers vary
-    nba = random_nba(random.Random(11), AB, 5, 0.3)
+    # partition, on one NBA sparse enough that the answers vary: each
+    # transition drawn with probability 0.3, then Buchi and initial states
+    # as random_nba draws them
+    rng = random.Random(11)
+    states = [f"q{i}" for i in range(5)]
+    edges = [(q, a, r) for q in states for a in AB for r in states if rng.random() < 0.3]
+    buchi = [q for q in states if rng.random() < 0.5]
+    nba = NBA(AB, states, [rng.choice(states)], edges, buchi)
     res = nba_to_bda(nba)
     assert {frozenset(scc.states) for scc in res.waa.sccs} == predicted_rank_sccs(nba)
     assert max(scc.size for scc in res.waa.sccs) == 5

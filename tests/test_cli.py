@@ -25,7 +25,7 @@ def test_ltl2waa_writes_parseable_waa(tmp_path, capsys):
     out = tmp_path / "waa.txt"
     code, _, err = run_cli(capsys, "ltl2waa", "F a", "-o", str(out))
     assert code == 0
-    assert "1 states, very weak, BDA bound 2" in err
+    assert "1 state, very weak, BDA bound 2" in err
     waa = parse_waa(out.read_text())
     assert waa.states == ("q_F_a",)
 
@@ -100,7 +100,8 @@ def test_nba2nutl_block_count(tmp_path, capsys):
     out_file = tmp_path / "tuple.txt"
     code, _, err = run_cli(capsys, "nba2nutl", str(nba_file), "-o", str(out_file))
     assert code == 0
-    assert "2 fixed-point blocks" in err
+    # a count of one is singular, any other plural
+    assert err == "1 NBA state, 2 fixed-point blocks, 1 tuple component\n"
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 1  # one tuple component per NBA state
     parse_nutl(lines[0], Alphabet(("a", "b")))
@@ -122,7 +123,8 @@ def test_nba2nutl_text_translates_to_the_pipeline_automaton(tmp_path, capsys):
     )
     nba_file, ranks, out = tmp_path / "nba.txt", tmp_path / "ranks.txt", tmp_path / "waa.txt"
     nba_file.write_text(text)
-    assert run_cli(capsys, "nba2nutl", str(nba_file), "-o", str(ranks))[0] == 0
+    code, _, err = run_cli(capsys, "nba2nutl", str(nba_file), "-o", str(ranks))
+    assert (code, err) == (0, "3 NBA states, 6 fixed-point blocks, 3 tuple components\n")
     assert ranks.read_text().startswith("@0 = ")
     code, _, _ = run_cli(capsys, "nutl2waa", str(ranks), "--alphabet", "a", "b", "-o", str(out))
     assert code == 0
@@ -155,7 +157,7 @@ def test_nutl2waa_gives_a_letter_component_a_state(tmp_path, capsys):
     code, out, err = run_cli(capsys, "nutl2waa", str(src), "--alphabet", "a", "b")
     assert code == 0
     assert out.endswith("delta s0 = [a]\n# components: s0\n")
-    assert err == "1 states, 1 SCCs, BDA bound 2\n"
+    assert err == "1 state, 1 SCC, BDA bound 2\n"
 
 
 @pytest.mark.parametrize("text", ["mu_0 (X,X).(a; b)", "mu_0 (X).(a; b)"])

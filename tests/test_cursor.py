@@ -48,8 +48,9 @@ ERRORS = [
     ("nutl", "O", "unexpected end of formula", 1),
     ("nutl", "\ta\n&\t", "unexpected end of formula", 5),
     ("nutl", "mu_0 (X).(a\t|\nO X", "unexpected end of formula", 17),
-    ("nutl", "!(a)", "negation is only allowed on letters, got '('", 2),
-    ("nutl", "!X", "negation is only allowed on letters, got 'X'", 2),
+    ("nutl", "!(a)", "negation is only allowed on letters, got '('", 0),
+    ("nutl", "!X", "negation is only allowed on letters, got 'X'", 0),
+    ("nutl", "a | !X", "negation is only allowed on letters, got 'X'", 4),
     ("nutl", "!", "unexpected end of formula", 1),
     # a letter, a variable and a fix variable are identifiers
     ("nutl", "a | &", "unexpected token '&'", 4),

@@ -17,8 +17,6 @@ from backdet.nutl import (
     Next,
     Or,
     Var,
-    check_alternation_free,
-    check_guarded,
     dual_nutl,
     format_nutl,
     nutl_eval_lasso,
@@ -83,11 +81,10 @@ def test_parse_errors():
         Fix(MU, 0, ("X", "X"), (Var("X"), Var("X")))
     with pytest.raises(ValueError, match="fix kind must be 'mu' or 'nu'"):
         Fix("sigma", 0, ("X",), (Var("X"),))
-    # the dependence analysis rejects what the parser never builds
+    # the translation rejects what the parser never builds
     twice = Or(Fix(MU, 0, ("X",), (Next(Var("X")),)), Fix(NU, 0, ("X",), (Letter("a"),)))
-    for phi, text in ((twice, "variable 'X' bound more than once"), (Next(Var("X")), "free variable 'X'")):
-        with pytest.raises(SemanticError, match=text):
-            check_guarded(phi)
+    with pytest.raises(SemanticError, match="variable 'X' bound more than once"):
+        nutl_to_waa([twice], AB)
 
 
 def test_format_round_trip():
@@ -154,6 +151,17 @@ def _unguard(f, rng):
     return type(f)(*(_unguard(c, rng) for c in f.children)) if f.children else f
 
 
+def _rejected_cycle(phi):
+    """The witness cycle of ``nutl_to_waa`` when it rejects ``phi`` as
+    unguarded; None when it translates ``phi`` or rejects it otherwise."""
+    try:
+        nutl_to_waa([phi], AB)
+    except SemanticError as e:
+        assert (e.cycle is not None) == ("not guarded" in str(e)), str(e)
+        return e.cycle
+    return None
+
+
 def _assert_unguarded_witness(cycle, binders):
     assert cycle
     assert not any(isinstance(f, Next) for f in cycle)
@@ -162,23 +170,23 @@ def _assert_unguarded_witness(cycle, binders):
 
 
 def test_guardedness():
-    assert check_guarded(parse_nutl(UNTIL, AB)) is None
-    assert check_guarded(parse_nutl("mu_0 (X,Y).(O Y; b | O X)", AB)) is None
+    assert _rejected_cycle(parse_nutl(UNTIL, AB)) is None
+    assert _rejected_cycle(parse_nutl("mu_0 (X,Y).(O Y; b | O X)", AB)) is None
     unguarded = Fix(MU, 0, ("X",), (Or(Letter("b"), Var("X")),))
     # X and Y call each other unguarded; the O on X's left is off the cycle
     pair = parse_nutl("nu_0 (X,Y).(O a & (b | Y); a & X)", AB)
     for phi in (unguarded, pair):
-        _assert_unguarded_witness(check_guarded(phi), _binders(phi))
+        _assert_unguarded_witness(_rejected_cycle(phi), _binders(phi))
     # random_nutl puts every variable under a next step; dropping some of
     # those steps makes some formulas unguarded and leaves others guarded
     rng = random.Random(5)
     flagged = 0
     for _ in range(400):
         phi = random_nutl(rng, AB, depth=4)
-        assert check_guarded(phi) is None
+        assert _rejected_cycle(phi) is None
         psi = _unguard(phi, rng)
         binders = _binders(psi)
-        cycle = check_guarded(psi)
+        cycle = _rejected_cycle(psi)
         assert (cycle is not None) == _has_unguarded_cycle(psi, binders), format_nutl(psi)
         if cycle is not None:
             flagged += 1
@@ -187,13 +195,18 @@ def test_guardedness():
 
 
 def test_alternation_freeness():
-    assert check_alternation_free(parse_nutl(UNTIL, AB)) is None
+    nutl_to_waa([parse_nutl(UNTIL, AB)], AB)
     # nu around mu with the mu body reaching back into the nu variable
     mixed = Fix(
         NU, 0, ("Y",),
         (Fix(MU, 0, ("X",), (Or(Next(Var("Y")), Next(Var("X"))),)),),
     )
-    assert check_alternation_free(mixed) is not None
+    with pytest.raises(SemanticError, match="^formula has a fixed-point alternation on a cycle$") as e:
+        nutl_to_waa([mixed], AB)
+    assert e.value.cycle is None
+    # unguarded and alternating: guardedness is checked first
+    with pytest.raises(SemanticError, match="^formula is not guarded; "):
+        nutl_to_waa([parse_nutl("nu_0 (Y).(mu_0 (X).(X | O Y))", AB)], AB)
 
 
 def test_translation_rejects_bad_input():
