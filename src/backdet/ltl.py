@@ -18,7 +18,7 @@ from .cursor import TokenCursor
 from .errors import FormatError
 from .lasso import LassoWord
 from .node import And, Node, Or, subterms
-from .nutl import _SWAP, Letter, NegLetter, Next, _translate
+from .nutl import Letter, NegLetter, Next, _translate
 
 
 class Eventually(Node):
@@ -54,15 +54,12 @@ _TABLE = {
 _OPERATORS = {sym: c for c, (sym, _) in _TABLE.items() if c not in (Letter, NegLetter)}
 _UNARY = {sym: c for sym, c in _OPERATORS.items() if c.__slots__ == ("operand",)}
 _BINARY = {sym: c for sym, c in _OPERATORS.items() if c not in (*_UNARY.values(), And, Or)}
-# NNF duals (negate): the shared nodes' De Morgan duals, and F/G and U/R
-_DUAL = {Eventually: Always, Always: Eventually, Until: Release, Release: Until}
-_DUAL.update((c, _SWAP[c]) for c in _TABLE if c not in _DUAL)
 
 
-def _entry(f, table=_TABLE):
-    if type(f) not in table:
+def _entry(f):
+    if type(f) not in _TABLE:
         raise TypeError(f"not an LTL formula: {f!r}")
-    return table[type(f)]
+    return _TABLE[type(f)]
 
 
 class _LtlParser(TokenCursor):
@@ -122,12 +119,6 @@ def format_ltl(f: Node) -> str:
     if f.children:
         return f"{sym} ({format_ltl(f.operand)})"
     return sym + _require_letter(f.name)
-
-
-def negate(f: Node) -> Node:
-    """NNF dual; test helper, not part of the surface language."""
-    dual = _entry(f, _DUAL)
-    return dual(*map(negate, f.children)) if f.children else dual(f.name)
 
 
 def _state_names(subs) -> dict:

@@ -11,11 +11,11 @@ R, and one translator, with states on demand, serves both.
 
 Nodes are hash-consed (:mod:`backdet.node`): structurally identical
 subformulas are one object, and equality is identity.  A variable may
-appear bound by several fix nodes as long as they agree on the variable
-vector and the bodies (they may differ in the selected component).  This
-keeps the rank-formula tables compact: each vector level binds its
-variables once, and a table is a DAG whose distinct nodes grow linearly
-with its levels.
+appear bound by several fix nodes as long as they bind it in one system:
+they agree on the kind, the variable vector and the bodies (they may
+differ in the selected component).  This keeps the rank-formula tables
+compact: each vector level binds its variables once, and a table is a DAG
+whose distinct nodes grow linearly with its levels.
 
 The text prints that DAG, not its tree: each subformula with two or more
 parents is written once, as a definition in front of the formula, and
@@ -24,11 +24,13 @@ Steffen, FMSD 1993).  ``@0 = (a & O (b)); (@0 | O (@0))`` is
 ``(a & O b) | O (a & O b)``.  A definition uses only names defined before
 it, and a text without definitions is read as before.
 
-One check (:func:`_analyse`) admits a tuple to :func:`nutl_to_waa`, on the
-dependence graph closed under an edge from each variable occurrence to the
-body it selects in its binder: guardedness requires a next-step vertex on
-every cycle, alternation-freeness forbids cycles through variables of both
-a least and a greatest fixed point.
+One check (:func:`_analyse`) admits a tuple to :func:`nutl_to_waa`.  It
+builds one table from each fix node and variable to what it denotes, its
+system's kind, the variable and the body, and reads everything else from
+it: the dependence graph leads from each entry to its body, guardedness
+requires a next-step vertex on every cycle, alternation-freeness forbids
+cycles through entries of both kinds, and the translation names and
+unfolds states from it.
 
 :func:`nutl_eval_lasso` is the Kleene semantics on a lasso: a formula
 denotes a position mask of the lasso quotient (:class:`LassoWord`).  Each
@@ -229,35 +231,31 @@ def _require_closed(roots):
             raise SemanticError(f"formula is not closed: free {sorted(f.free)}")
 
 
-def _denoted(f, binders):
-    """The body that a fix node selects, or that a variable selects in its
-    binder (``binders``: variable name -> (fix node, component index))."""
-    if isinstance(f, Fix):
-        return f.bodies[f.index]
-    fix, j = binders[f.name]
-    return fix.bodies[j]
-
-
 def _analyse(roots) -> tuple[dict, set]:
     """The one check of a fixed-point tuple: SemanticError unless it is
-    closed, binds each name once, is guarded and is alternation-free, tested
-    in that order.  Binders that agree on variable vector and bodies bind
-    their names once (sharing across the components of a vector fix).  In
-    the dependence graph a fix node and a variable lead to the body they
-    denote (:func:`_denoted`), any other node to its children; an unguarded
-    tuple's error holds a ``cycle`` with no next-step vertex.  Returns the
-    binder table and the nodes on cyclic components of greatest fixed points
-    only."""
+    closed, binds each name in one system, is guarded and is
+    alternation-free, tested in that order.  Fix nodes bind a name in one
+    system when they agree on kind, variable vector and bodies (they may
+    select different components); a least and a greatest fixed point are two
+    systems.  Returns the table from each fix node and variable to what it
+    denotes, ``(kind, variable, body)``, and the nodes on cyclic components
+    of greatest fixed points only.  In the dependence graph a node of that
+    table leads to the body it denotes, any other node to its children; an
+    unguarded tuple's error holds a ``cycle`` with no next-step vertex."""
     _require_closed(roots)
-    nodes = subterms(roots)
-    binders = {}
+    nodes = subterms(roots)  # preorder: a variable comes after its binder
+    systems, denotes = {}, {}
     for f in nodes:
         if isinstance(f, Fix):
-            for j, name in enumerate(f.vars):
-                prior = binders.setdefault(name, (f, j))[0]
-                if (prior.vars, prior.bodies) != (f.vars, f.bodies):
+            system = (f.kind, f.vars, f.bodies)
+            for name in f.vars:
+                if systems.setdefault(name, system) != system:
                     raise SemanticError(f"variable {name!r} bound more than once")
-    succ = {f: [_denoted(f, binders)] if isinstance(f, (Fix, Var)) else list(f.children) for f in nodes}
+            denotes[f] = (f.kind, f.vars[f.index], f.bodies[f.index])
+        elif isinstance(f, Var):
+            kind, names, bodies = systems[f.name]
+            denotes[f] = (kind, f.name, bodies[names.index(f.name)])
+    succ = {f: [denotes[f][2]] if f in denotes else list(f.children) for f in nodes}
     # the graph without its next-step vertices has a cycle exactly when
     # some dependence cycle avoids them
     sub = {f: [w for w in succ[f] if not isinstance(w, Next)] for f in nodes if not isinstance(f, Next)}
@@ -275,13 +273,12 @@ def _analyse(roots) -> tuple[dict, set]:
     on_nu = set()
     for comp in graph.sccs(nodes, succ):
         if graph.is_cyclic(comp, succ):
-            kinds = {binders[f.name][0].kind if isinstance(f, Var) else f.kind
-                     for f in comp if isinstance(f, (Var, Fix))}
+            kinds = {denotes[f][0] for f in comp if f in denotes}
             if kinds == {MU, NU}:
                 raise SemanticError("formula has a fixed-point alternation on a cycle")
             if kinds == {NU}:
                 on_nu.update(comp)
-    return binders, on_nu
+    return denotes, on_nu
 
 
 def _translate(alphabet, roots, denote, unfold, recurring):
@@ -320,25 +317,25 @@ def _translate(alphabet, roots, denote, unfold, recurring):
 def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton, list[str]]:
     """States on demand (:func:`_translate`): one for each tuple component
     and each next-step operand that a built condition names.  A variable,
-    and a fix that selects one, share the state of the body they denote and
-    unfold to, named after the variable; any other operand gets a fresh name
-    ``s<k>`` that no variable uses.  A state is recurring when the node it
-    denotes lies on a cyclic component of greatest fixed points only.
-    Returns the automaton and the tuple components' states, its initial set.
+    and a fix that selects one, share the state of the body they denote in
+    :func:`_analyse`'s table and unfold to, named after the variable; any
+    other operand gets a fresh name ``s<k>`` that no such state uses.  A
+    state is recurring when the node it denotes lies on a cyclic component
+    of greatest fixed points only.  Returns the automaton and the tuple
+    components' states, its initial set.
     """
     roots = list(phi_tuple)
-    binders, on_nu = _analyse(roots)
-    fresh = (f"s{k}" for k in itertools.count() if f"s{k}" not in binders)
+    denotes, on_nu = _analyse(roots)
+    named = {name for _, name, _ in denotes.values()}
+    fresh = (f"s{k}" for k in itertools.count() if f"s{k}" not in named)
 
     def denote(f):
-        if isinstance(f, (Fix, Var)):
-            return (f.vars[f.index] if isinstance(f, Fix) else f.name), _denoted(f, binders)
-        return next(fresh), f
+        return denotes[f][1:] if f in denotes else (next(fresh), f)
 
     def unfold(f, build, _):
-        if not isinstance(f, (Fix, Var)):
+        if f not in denotes:
             raise TypeError(f"not a nutl formula: {f!r}")
-        return build(_denoted(f, binders))
+        return build(denotes[f][2])
 
     return _translate(alphabet, roots, denote, unfold, on_nu.__contains__)
 
@@ -355,8 +352,9 @@ _SWAP = {Letter: NegLetter, NegLetter: Letter, Or: And, And: Or, Next: Next, MU:
 def dual_nutl(f: Node) -> Node:
     """De Morgan dual: complements the defined language; an involution.
     Each distinct subformula is dualized once.  The dual keeps the variable
-    names, so a tuple holding a formula and its dual binds each name twice,
-    and ``nutl_to_waa([phi, dual_nutl(phi)])`` rejects it."""
+    names in systems of the other kind, so ``nutl_to_waa([phi,
+    dual_nutl(phi)])`` finds each name bound twice and rejects the tuple,
+    even where the bodies are self-dual, as in ``mu_0 (X).(O X)``."""
 
     @functools.cache
     def dual(f):

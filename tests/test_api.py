@@ -5,7 +5,9 @@ code names."""
 
 import ast
 import dataclasses
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -116,18 +118,25 @@ def test_every_imported_name_is_read():
 
 def test_every_definition_is_named_elsewhere():
     # each top-level function or class in src/backdet, and each method that
-    # is not a dunder, is named as a word in src/backdet or perfbench more
-    # often than it is defined: a definition that only tests name is dead
+    # is not a dunder, is named as a word in src/backdet or perfbench, not
+    # counting comments and the definition's own lines (its recursive calls
+    # and docstring): a definition that only tests name is dead
     root = Path(__file__).resolve().parent.parent
-    words = Counter(word for d in ("src/backdet", "perfbench") for p in (root / d).glob("*.py")
-                    for word in re.findall(r"\w+", p.read_text()))
-    defined = {}
-    for path in sorted((root / "src" / "backdet").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    words, defined = Counter(), {}
+    for path in sorted(p for d in ("src/backdet", "perfbench") for p in (root / d).glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
         methods = [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body
                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+        own = {}  # line -> the names defined by the definitions spanning it
         for node in tree.body + methods:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
-    unnamed = [(name, where) for name, where in defined.items() if words[name] <= len(where)]
+                for line in range(node.lineno, node.end_lineno + 1):
+                    own.setdefault(line, set()).add(node.name)
+                if path.parent.name == "backdet":
+                    defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type != tokenize.COMMENT:
+                words.update(w for w in re.findall(r"\w+", tok.string) if w not in own.get(tok.start[0], ()))
+    unnamed = [(name, where) for name, where in defined.items() if not words[name]]
     assert not unnamed, unnamed

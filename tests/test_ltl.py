@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backdet import nutl
+from backdet import ltl, nutl
 from backdet.automata import Alphabet, LetterSet, NextState, Or, is_very_weak
 from backdet.errors import FormatError, SemanticError
 from backdet.lasso import LassoWord, waa_accept_table
@@ -19,7 +19,6 @@ from backdet.ltl import (
     format_ltl,
     ltl_to_waa,
     ltl_truth_vector,
-    negate,
     parse_ltl,
     random_ltl,
 )
@@ -27,6 +26,18 @@ from backdet.node import subterms
 from backdet.validation import exhaustive_lassos, random_nutl
 
 AB = Alphabet(("a", "b"))
+
+# NNF duals (negate): the shared nodes' De Morgan duals, and F/G and U/R
+_DUAL = {Eventually: Always, Always: Eventually, Until: Release, Release: Until}
+_DUAL.update((c, nutl._SWAP[c]) for c in ltl._TABLE if c not in _DUAL)
+
+
+def negate(f):
+    """The NNF dual of an LTL formula, which complements its language."""
+    if type(f) not in _DUAL:
+        raise TypeError(f"not an LTL formula: {f!r}")
+    dual = _DUAL[type(f)]
+    return dual(*map(negate, f.children)) if f.children else dual(f.name)
 
 
 def test_parser_precedence():

@@ -215,6 +215,12 @@ def test_translation_rejects_bad_input():
     unguarded = Fix(MU, 0, ("X",), (Or(Letter("b"), Var("X")),))
     with pytest.raises(SemanticError):
         nutl_to_waa([unguarded], AB)
+    # a least and a greatest system bind X twice, though their vectors and
+    # bodies agree
+    phi = parse_nutl("mu_0 (X).(O X)", AB)
+    for roots in ([parse_nutl("mu_0 (X).(O X) | nu_0 (X).(O X)", AB)], [phi, dual_nutl(phi)]):
+        with pytest.raises(SemanticError, match="^variable 'X' bound more than once$"):
+            nutl_to_waa(roots, AB)
 
 
 def test_open_formulas_are_rejected_with_their_free_names():
@@ -393,3 +399,54 @@ def test_recurring_states_follow_binder_kind():
     # a fresh state on a greatest-fixed-point cycle is recurring too
     waa, _ = nutl_to_waa([parse_nutl("nu_0 (X).(a & O (b | O X))", AB)], AB)
     assert waa.recurring == frozenset({"X", "s0"})
+
+
+# fix vectors drawn from these, so that binders of one name recur
+VECTORS = [("X",), ("Y",), ("X", "Y")]
+
+
+def _reusing_nutl(rng, depth, scope=()):
+    """A random closed guarded formula, as ``random_nutl`` builds, whose fix
+    nodes bind the names X and Y only."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if scope and rng.random() < 0.4:
+            return Next(Var(rng.choice(scope)))
+        name = rng.choice(AB.letters)
+        return Letter(name) if rng.random() < 0.7 else NegLetter(name)
+    if roll < 0.55:
+        op = rng.choice((Or, And))
+        return op(_reusing_nutl(rng, depth - 1, scope), _reusing_nutl(rng, depth - 1, scope))
+    if roll < 0.7:
+        return Next(_reusing_nutl(rng, depth - 1, scope))
+    names = rng.choice(VECTORS)
+    bodies = tuple(_reusing_nutl(rng, depth - 1, scope + names) for _ in names)
+    return Fix(rng.choice((MU, NU)), rng.randrange(len(names)), names, bodies)
+
+
+def reused_name_differential(draws):
+    """Translate ``draws`` random tuples of one or two formulas whose fixes
+    reuse the names X and Y; each tuple raises SemanticError, or its final
+    runs' outputs equal the Kleene semantics on every lasso |u| <= 1,
+    |v| <= 2.  Returns the number translated."""
+    rng = random.Random(5)
+    lassos = list(exhaustive_lassos(AB, 1, 2))
+    translated = 0
+    for _ in range(draws):
+        roots = [_reusing_nutl(rng, 3) for _ in range(rng.randint(1, 2))]
+        try:
+            waa, inits = nutl_to_waa(roots, AB)
+        except SemanticError:
+            continue
+        translated += 1
+        bda = BackwardDetAutomaton(waa)
+        for w in lassos:
+            truth = nutl_eval_lasso(roots, w)
+            for i, out in enumerate(bda_final_run(bda, w).outputs(bda)):
+                got = {j for j, init in enumerate(inits) if init in out}
+                assert got == truth[i], ([format_nutl(f) for f in roots], str(w), i)
+    return translated
+
+
+def test_translation_of_reused_names_matches_semantics():
+    assert reused_name_differential(3000) > 1000
