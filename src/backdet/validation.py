@@ -5,9 +5,9 @@ collects structured counterexamples in a :class:`CheckReport`; the CLI
 check command and the acceptance test suite are thin wrappers around these
 functions.  The automaton and Buchi oracles answer in the shape of the
 run's outputs, one set of accepting states per position, and the Kleene
-evaluator one set of true components per position; a sweep compares a
-backward run with the automaton oracle through :func:`cross_validate` and
-reads ``table[i]`` otherwise.
+evaluator one set of true components per position.  The ltl, nutl and nba
+sweeps check each final run in :func:`_check_case`, against the automaton
+oracle at every state (:func:`cross_validate`) and the frontend's answer.
 """
 
 from __future__ import annotations
@@ -104,6 +104,23 @@ def random_nba(rng, alphabet: Alphabet, n_states: int) -> NBA:
     return NBA(alphabet, states, initial, transitions, buchi)
 
 
+def _check_case(report, waa, bda, w, read, expected, reason, **context):
+    """One case: the final run of ``bda`` (built from ``waa``) on ``w``, or its
+    error, against the automaton oracle and, read by ``read``, against the
+    frontend's ``expected`` answer per position; each failure has ``context``."""
+    report.cases += 1
+    try:
+        run = bda_final_run(bda, w)
+    except FinalRunError as e:
+        report.fail(**context, word=str(w), reason=str(e))
+        return
+    for failure in cross_validate(waa, w, bda, run).failures:
+        report.fail(**context, **failure)
+    for i, (got, want) in enumerate(zip(read(run), expected, strict=True)):
+        if got != want:
+            report.fail(**context, word=str(w), position=i, reason=reason, got=got, expected=want)
+
+
 def check_ltl(seed: int = 7, count: int = 200) -> CheckReport:
     """Main-construction sweep over random formulas.
 
@@ -124,18 +141,9 @@ def check_ltl(seed: int = 7, count: int = 200) -> CheckReport:
             continue
         q_phi = next(iter(waa.initial))
         for w in lassos:
-            report.cases += 1
-            try:
-                run = bda_final_run(bda, w)
-            except FinalRunError as e:
-                report.fail(formula=text, word=str(w), reason=str(e))
-                continue
-            for failure in cross_validate(waa, w, bda, run).failures:
-                report.fail(formula=text, **failure)
-            for i, (out, truth) in enumerate(zip(run.outputs(bda), ltl_truth_vector(phi, w), strict=True)):
-                if (q_phi in out) != truth:
-                    report.fail(formula=text, word=str(w), position=i,
-                                reason="backward output differs from formula semantics")
+            _check_case(report, waa, bda, w, lambda run: [q_phi in out for out in run.outputs(bda)],
+                        ltl_truth_vector(phi, w), "backward output differs from formula semantics",
+                        formula=text)
     return report
 
 
@@ -207,27 +215,19 @@ def check_nutl(seed: int = 13, count: int = 60) -> CheckReport:
         bda = BackwardDetAutomaton(waa)
         pair = [phi, nutl.dual_nutl(phi)]
         for w in lassos:
-            report.cases += 1
             # component 0 is phi and component 1 its dual at each position
             truth = nutl.nutl_eval_lasso(pair, w)
             if any((0 in s) == (1 in s) for s in truth):
                 report.fail(formula=text, word=str(w), reason="dual formula is not the complement")
-            try:
-                run = bda_final_run(bda, w)
-            except FinalRunError as e:
-                report.fail(formula=text, word=str(w), reason=str(e))
-                continue
-            for failure in cross_validate(waa, w, bda, run).failures:
-                report.fail(formula=text, **failure)
-            for i, (out, s) in enumerate(zip(run.outputs(bda), truth, strict=True)):
-                if (init in out) != (0 in s):
-                    report.fail(formula=text, word=str(w), position=i,
-                                reason="backward outputs differ from Kleene semantics")
+            _check_case(report, waa, bda, w, lambda run: [init in out for out in run.outputs(bda)],
+                        [0 in s for s in truth], "backward outputs differ from Kleene semantics",
+                        formula=text)
     return report
 
 
 def check_nba(seed: int = 17, count: int = 50) -> CheckReport:
-    """Rank-formula and end-to-end pipeline sweep for small NBAs."""
+    """Rank-formula and end-to-end pipeline sweep for small NBAs; the pipeline
+    automaton's run is checked against its automaton oracle too."""
     rng = random.Random(seed)
     report = CheckReport("nba")
     lassos = list(exhaustive_lassos_total(AB, 4))
@@ -238,7 +238,6 @@ def check_nba(seed: int = 17, count: int = 50) -> CheckReport:
         flat = [f for level in table.chi for f in level]
         pipeline = nba_to_bda(nba)
         for w in lassos:
-            report.cases += 1
             dag = peel_ranks(nba, w)
             for v, r in dag.ranks.items():
                 if r != INF and not r < 2 * n:
@@ -262,15 +261,8 @@ def check_nba(seed: int = 17, count: int = 50) -> CheckReport:
                     if (len(flat) + j in truth[k]) != (q in accepted):
                         report.fail(word=str(w), position=k, state=q,
                                     reason="negated top-level formula disagrees with acceptance")
-            try:
-                run = bda_final_run(pipeline.bda, w)
-            except FinalRunError as e:
-                report.fail(word=str(w), reason=str(e))
-                continue
-            for k, (got, accepted) in enumerate(zip(pipeline.outputs(run), direct)):
-                if got != accepted:
-                    report.fail(word=str(w), position=k, reason="pipeline language differs",
-                                pipeline=sorted(got), nba=sorted(accepted))
+            _check_case(report, pipeline.waa, pipeline.bda, w, pipeline.outputs, direct,
+                        "pipeline language differs")
     return report
 
 

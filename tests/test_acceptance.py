@@ -169,8 +169,9 @@ def test_criterion_5_basic_approach_counterexample():
 def test_criterion_6_rank_formulas():
     # >= 50 sampled NBAs with n <= 2 x exhaustive lassos |u|+|v| <= 4:
     # chi truth sets equal the peeling ranks, ranks < 2n or infinite, final
-    # tuple matches direct acceptance, and so does the pipeline's final run;
-    # the case count pins the sweep's sizes
+    # tuple matches direct acceptance, and so does the pipeline's final run,
+    # which also matches the automaton oracle at every state of the rank
+    # automaton; the case count pins the sweep's sizes
     result = check_nba(seed=17, count=50)
     report(
         6,
