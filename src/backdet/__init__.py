@@ -19,7 +19,7 @@ from .automata import (
     dualize,
     is_very_weak,
 )
-from .construction import INF, BackwardDetAutomaton, TransitionRecord, basic_step
+from .construction import INF, BackwardDetAutomaton, TransitionRecord
 from .errors import (
     BackdetError,
     FinalRunError,
@@ -32,7 +32,6 @@ from .errors import (
 from .formats import (
     format_bda,
     format_condition,
-    format_nba,
     format_waa,
     parse_condition,
     parse_lasso,
@@ -80,7 +79,6 @@ __all__ = [
     "StateSpaceCapError",
     "TransitionRecord",
     "WeakAlternatingAutomaton",
-    "basic_step",
     "bda_final_run",
     "build_rank_formulas",
     "count_final_candidates",
@@ -89,7 +87,6 @@ __all__ = [
     "dualize",
     "format_bda",
     "format_condition",
-    "format_nba",
     "format_waa",
     "is_very_weak",
     "ltl_to_waa",

@@ -262,21 +262,3 @@ class BackwardDetAutomaton:
     def format_family(self, family: ValueFamily) -> str:
         return " ".join(f"{q}={'inf' if v == INF else int(v)}" for q, v in zip(self.waa.states, family))
 
-
-def basic_step(waa: WeakAlternatingAutomaton, letter: str, family: ValueFamily) -> ValueFamily:
-    """The unrefined two-valued transition function.
-
-    Values are restricted to {1, inf}; no lifting, no polarity, no Buchi
-    sets.  Kept only to exhibit where the naive construction breaks down.
-    """
-    pos = {q: i for i, q in enumerate(waa.states)}
-    for v in family:
-        if v not in (1, INF):
-            raise ValueError("basic_step expects values in {1, inf}")
-
-    def atom(c):
-        if isinstance(c, LetterSet):
-            return 1 if letter in c.letters else INF
-        return family[pos[c.state]]
-
-    return tuple(fold(waa.delta[q], atom, min, max) for q in waa.states)

@@ -164,18 +164,6 @@ def parse_nba(text: str) -> NBA:
     return NBA(headers["alphabet"], headers["states"], headers["initial"], transitions, headers["buchi"])
 
 
-def format_nba(nba: NBA) -> str:
-    lines = [
-        "alphabet: " + " ".join(nba.alphabet.letters),
-        "states: " + " ".join(nba.states),
-        "initial: " + " ".join(sorted(nba.initial)),
-        "buchi: " + " ".join(sorted(nba.buchi)),
-    ]
-    for q, a, q2 in sorted(nba.transitions):
-        lines.append(f"trans {q} {a} {q2}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
     """The lasso 'u ; v'; each of its letters must be in ``alphabet``."""
     u_text, sep, v_text = text.partition(";")

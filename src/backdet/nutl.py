@@ -22,7 +22,7 @@ parents is written once, as a definition in front of the formula, and
 named after it, as in a hierarchical equation system (Cleaveland and
 Steffen, FMSD 1993).  ``@0 = (a & O (b)); (@0 | O (@0))`` is
 ``(a & O b) | O (a & O b)``.  A definition uses only names defined before
-it, and a text without definitions is read as before.
+it; a text without definitions is the formula written out as its tree.
 
 One check (:func:`_analyse`) admits a tuple to :func:`nutl_to_waa`.  It
 builds one table from each fix node and variable to what it denotes, its
@@ -340,8 +340,8 @@ def nutl_to_waa(phi_tuple, alphabet: Alphabet) -> tuple[WeakAlternatingAutomaton
     return _translate(alphabet, roots, denote, unfold, on_nu.__contains__)
 
 
-# the one translation under its former second name, which the benchmark
-# harness (perfbench/run.py) binds and patches
+# a second name of the one translation: the benchmark harness
+# (perfbench/run.py) binds and patches it under this name
 nutl_to_waa_optimized = nutl_to_waa
 
 

@@ -6,8 +6,8 @@ asserts the criterion at its stated tolerance (all criteria are exact).
 
 import random
 
-from backdet.automata import Alphabet, NextState, WeakAlternatingAutomaton, is_very_weak
-from backdet.construction import INF, BackwardDetAutomaton, basic_step
+from backdet.automata import Alphabet, LetterSet, NextState, WeakAlternatingAutomaton, fold, is_very_weak
+from backdet.construction import INF, BackwardDetAutomaton
 from backdet.formats import parse_lasso
 from backdet.lasso import (
     LassoWord,
@@ -141,6 +141,26 @@ def test_criterion_4_complementation():
         result.ok and result.cases == 4200,
         f"accepted XOR dual-accepted on {result.cases} automaton/lasso cases",
     )
+
+
+def basic_step(waa, letter, family):
+    """The unrefined two-valued transition function.
+
+    Values are restricted to {1, inf}; no lifting, no polarity, no Buchi
+    sets.  Criterion 5 uses it to exhibit where the naive construction
+    breaks down.
+    """
+    pos = {q: i for i, q in enumerate(waa.states)}
+    for v in family:
+        if v not in (1, INF):
+            raise ValueError("basic_step expects values in {1, inf}")
+
+    def atom(c):
+        if isinstance(c, LetterSet):
+            return 1 if letter in c.letters else INF
+        return family[pos[c.state]]
+
+    return tuple(fold(waa.delta[q], atom, min, max) for q in waa.states)
 
 
 def test_criterion_5_basic_approach_counterexample():

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from backdet.automata import Alphabet, And, LetterSet, NextState, Or, WeakAlternatingAutomaton, fold
-from backdet.construction import INF, BackwardDetAutomaton, accepts, basic_step, lifting_table
+from backdet.construction import INF, BackwardDetAutomaton, accepts, lifting_table
 from backdet.errors import SemanticError, StateSpaceCapError
 from backdet.lasso import LassoWord, bda_final_run
 from backdet.nba import nba_to_bda
 from backdet.validation import random_nba, random_waa
+from test_acceptance import basic_step
 
 AB = Alphabet(("a", "b"))
 

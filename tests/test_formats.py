@@ -6,13 +6,13 @@ from backdet.errors import FormatError
 from backdet.formats import (
     format_bda,
     format_condition,
-    format_nba,
     format_waa,
     parse_condition,
     parse_lasso,
     parse_nba,
     parse_waa,
 )
+from backdet.nba import NBA
 from backdet.nutl import Var
 
 AB = Alphabet(("a", "b"))
@@ -153,12 +153,9 @@ trans q1 b q1
 
 
 def test_nba_round_trip():
-    nba = parse_nba(NBA_TEXT)
-    assert nba.initial == frozenset({"q0"})
-    assert nba.buchi == frozenset({"q1"})
-    assert ("q0", "a", "q1") in nba.transitions
-    again = parse_nba(format_nba(nba))
-    assert again == nba
+    # every field, against the NBA the text describes
+    transitions = [("q0", "a", "q0"), ("q0", "a", "q1"), ("q1", "b", "q1")]
+    assert parse_nba(NBA_TEXT) == NBA(AB, ["q0", "q1"], ["q0"], transitions, ["q1"])
 
 
 def test_nba_parse_errors():

@@ -175,27 +175,29 @@ def assert_outputs_and_fired(bda, run):
 
 def test_final_run_matches_product_space_search():
     # the SCC-by-SCC search against the whole product space's h-cycles:
-    # random weak automata with bound <= 2^12, every lasso |u| <= 2, |v| <= 2
+    # random weak automata with bound <= 2^12, every lasso |u| <= 2, |v| <= 2;
+    # and X X X X X a on ; a b b, which looks far enough ahead that a period
+    # map reading two extra letters gives another boundary
     rng = random.Random(4)
     lassos = list(exhaustive_lassos(AB, 2, 2))
-    automata = 0
-    while automata < 25:
-        waa = random_waa(rng, AB, rng.randint(1, 5))
-        bda = BackwardDetAutomaton(waa)
-        if bda.state_space_bound > 1 << 12:
-            continue
-        automata += 1
-        for w in lassos:
-            (boundary,) = _final_boundaries(bda, w)
-            run = bda_final_run(bda, w)
-            cur = boundary
-            for i in range(w.positions - 1, -1, -1):
-                rec = bda.step(w.letter(i), cur)
-                assert run.record(bda, i) == rec, (str(w), i)
-                assert run.families[i] == rec.result
-                cur = rec.result
-            assert cur == run.families[0] and run.families[w.loop_start] == boundary
-            assert_outputs_and_fired(bda, run)
+    cases = []
+    while len(cases) < 25 * len(lassos):
+        bda = BackwardDetAutomaton(random_waa(rng, AB, rng.randint(1, 5)))
+        if bda.state_space_bound <= 1 << 12:
+            cases += [(bda, w) for w in lassos]
+    ahead = BackwardDetAutomaton(ltl_to_waa(parse_ltl("X X X X X a", AB), AB))
+    cases.append((ahead, LassoWord((), ("a", "b", "b"))))
+    for bda, w in cases:
+        (boundary,) = _final_boundaries(bda, w)
+        run = bda_final_run(bda, w)
+        cur = boundary
+        for i in range(w.positions - 1, -1, -1):
+            rec = bda.step(w.letter(i), cur)
+            assert run.record(bda, i) == rec, (str(w), i)
+            assert run.families[i] == rec.result
+            cur = rec.result
+        assert cur == run.families[0] and run.families[w.loop_start] == boundary
+        assert_outputs_and_fired(bda, run)
 
 
 def test_no_final_run_error_mentions_word():
